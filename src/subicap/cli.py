@@ -272,11 +272,14 @@ def cmd_params(args) -> int:
 # model commands
 
 
-def _scenes_to_batch(scenes, vocab):
+def _scenes_to_batch(scenes, vocab, max_seq_len: int):
     batch = []
     for scene in scenes:
-        seq = unigram.encode(scene.caption, vocab)
-        batch.append((scene.regions, list(seq.ids)))
+        ids = list(unigram.encode(scene.caption, vocab).ids)
+        if len(ids) + 1 > max_seq_len:
+            raise ValueError(f"image {scene.image_id}: caption has {len(ids)} pieces; "
+                             f"--max-len {max_seq_len} fits at most {max_seq_len - 1}")
+        batch.append((scene.regions, ids))
     return batch
 
 
@@ -288,10 +291,12 @@ def cmd_train_lm(args) -> int:
         "geo_dim": 8, "d_in": 16, "max_len": 32, "lr": 5e-4,
         "decay_every": 500, "decay_factor": 0.8,
     })
+    if r["steps"] < 1:
+        raise CliUsageError(f"--steps must be at least 1, got {r['steps']}")
     vocab = unigram.load_vocab(_require(r, "tokenizer", "--tokenizer"))
     out = Path(_require(r, "out", "--out"))
     scenes = synthetic.synthetic_regions(r["seed"], r["images"], d_in=r["d_in"])
-    batch = _scenes_to_batch(scenes, vocab)
+    batch = _scenes_to_batch(scenes, vocab, r["max_len"])
     cfg = transformer.ModelConfig(
         vocab_size=vocab.num_tokens, d_model=r["d_model"],
         n_enc_layers=r["layers"], n_dec_layers=r["layers"], n_heads=r["heads"],
@@ -301,7 +306,7 @@ def cmd_train_lm(args) -> int:
     params = transformer.init_params(cfg, seed=r["seed"])
     tcfg = training.TrainConfig(lr=r["lr"], decay_every=r["decay_every"],
                                 decay_factor=r["decay_factor"])
-    history = training.fit(batch, params, cfg, tcfg, steps=r["steps"], log_every=1)
+    history = training.fit(batch, params, cfg, tcfg, steps=r["steps"])
     transformer.save_checkpoint(out, params, cfg)
     log.info("final loss %.6f after %d steps -> %s", history[-1], r["steps"], out)
     _write_manifest(out, "train-lm", r, {"tokenizer": r["tokenizer"]},

@@ -127,6 +127,27 @@ def geometric_weights(lam: np.ndarray, w_g: np.ndarray, dim: int) -> np.ndarray:
     return np.maximum(emb @ w_g, 0.0)
 
 
+def gated_softmax(scores: np.ndarray, gates: np.ndarray):
+    """Geometry-gated attention weights along the last axis, unchecked.
+
+    Returns (weights, e, denom, fallback): e is exp(scores - row max), denom
+    each row's normalizer, fallback the rows whose gates are all zero and so
+    fall back to a plain softmax. The caption model's attention uses this
+    and keeps the rest for its backward pass. A score of -inf (a masked
+    key) gets weight zero in either branch.
+    """
+    e = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    weights = gates * e
+    denom = weights.sum(axis=-1, keepdims=True)
+    fallback = denom == 0.0
+    if fallback.any():
+        weights = np.where(fallback, e, weights)
+        denom = np.where(fallback, e.sum(axis=-1, keepdims=True), denom)
+    weights /= denom
+    return weights, e, denom, fallback
+
+
 def fused_attention(omega_a: np.ndarray, omega_g: np.ndarray) -> np.ndarray:
     """Geometry-gated attention rows; every output row sums to one.
 
@@ -140,12 +161,4 @@ def fused_attention(omega_a: np.ndarray, omega_g: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape mismatch: {omega_a.shape} vs {omega_g.shape}")
     if np.any(omega_g < 0):
         raise ValueError("geometric gates must be nonnegative")
-    shifted = omega_a - omega_a.max(axis=-1, keepdims=True)
-    exp_a = np.exp(shifted)
-    gated = omega_g * exp_a
-    denom = gated.sum(axis=-1, keepdims=True)
-    fallback = denom == 0.0
-    softmax = exp_a / exp_a.sum(axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        fused = np.where(fallback, softmax, gated / np.where(fallback, 1.0, denom))
-    return fused
+    return gated_softmax(omega_a, omega_g)[0]

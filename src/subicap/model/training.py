@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,9 +12,15 @@ from ..errors import TrainingDivergedError
 from .transformer import (
     Batch,
     ModelConfig,
+    PackedBatch,
+    flatten,
     loss_and_grads,
     loss_only,
+    num_params,
+    pack_batch,
     param_shapes,
+    target_logits,
+    unflatten,
 )
 
 log = logging.getLogger("subicap.train")
@@ -38,29 +44,30 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """Step count and moments. `m` and `v` map each tensor name to a view
+    of `flat`, whose rows are the first moment, the second moment and the
+    update's scratch space."""
+
+    step: int
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
+    flat: np.ndarray
 
     @classmethod
     def init(cls, cfg: ModelConfig) -> "AdamState":
-        shapes = param_shapes(cfg)
-        return cls(
-            step=0,
-            m={name: np.zeros(shape) for name, shape in shapes},
-            v={name: np.zeros(shape) for name, shape in shapes},
-        )
+        flat = np.zeros((3, num_params(cfg)))
+        return cls(0, unflatten(flat[0], cfg), unflatten(flat[1], cfg), flat)
 
 
 def train_step(
-    batch: Batch,
+    batch: Batch | PackedBatch,
     params: dict[str, np.ndarray],
     cfg: ModelConfig,
     state: AdamState,
     train_cfg: TrainConfig,
 ) -> float:
-    """One Adam update, in place. Parameters are visited in declaration
-    order, so repeated runs are bitwise identical."""
+    """One Adam update of the caller's tensors, in place, as vector ops over
+    the flat parameter vector, so repeated runs are bitwise identical."""
     loss, grads = loss_and_grads(batch, params, cfg)
     if not math.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss {loss} at step {state.step}")
@@ -69,15 +76,25 @@ def train_step(
     t = state.step
     b1, b2 = train_cfg.beta1, train_cfg.beta2
     correction = math.sqrt(1.0 - b2**t) / (1.0 - b1**t)
-    for name, _ in param_shapes(cfg):
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        params[name] -= lr * correction * m / (np.sqrt(v) + train_cfg.eps)
+    g, _ = flatten(grads, cfg)
+    p, shared = flatten(params, cfg)
+    m, v, tmp = state.flat
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=tmp)
+    m += tmp
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=tmp)
+    tmp *= g
+    v += tmp
+    # the gradient is spent: its vector holds the step
+    np.multiply(m, lr * correction, out=g)
+    np.sqrt(v, out=tmp)
+    tmp += train_cfg.eps
+    g /= tmp
+    p -= g
+    if not shared:
+        for name, updated in unflatten(p, cfg).items():
+            params[name][...] = updated
     return loss
 
 
@@ -89,11 +106,13 @@ def fit(
     steps: int,
     log_every: int = 100,
 ) -> list[float]:
-    """Full-batch training; returns the per-step loss history."""
+    """Full-batch training; returns the per-step loss history. The batch is
+    padded once, up front."""
+    packed = pack_batch(batch, cfg)
     state = AdamState.init(cfg)
     history = []
     for step in range(steps):
-        loss = train_step(batch, params, cfg, state, train_cfg)
+        loss = train_step(packed, params, cfg, state, train_cfg)
         history.append(loss)
         if log_every and (step % log_every == 0 or step == steps - 1):
             log.info("step=%d loss=%.6f", step, loss)
@@ -102,17 +121,8 @@ def fit(
 
 def next_token_accuracy(batch: Batch, params, cfg: ModelConfig) -> float:
     """Teacher-forced argmax accuracy over every target position."""
-    from .transformer import _decoder_fwd, _encoder_fwd, frame_sequence
-
-    hits = 0
-    total = 0
-    for regions, ids in batch:
-        inputs, targets = frame_sequence(ids)
-        q, _ = _encoder_fwd(regions, params, cfg)
-        logits, _ = _decoder_fwd(q, inputs, params, cfg)
-        hits += int((logits.argmax(-1) == np.asarray(targets)).sum())
-        total += len(targets)
-    return hits / total
+    logits, targets = target_logits(batch, params, cfg)
+    return int(np.count_nonzero(logits.argmax(-1) == targets)) / len(targets)
 
 
 def grad_check(
@@ -129,7 +139,8 @@ def grad_check(
     max(|analytic|, |numeric|, 1e-8). Everything runs in float64; the probe
     step 1e-5 balances truncation against roundoff.
     """
-    _, grads = loss_and_grads(batch, params, cfg)
+    packed = pack_batch(batch, cfg)
+    _, grads = loss_and_grads(packed, params, cfg)
     rng = np.random.default_rng(seed)
     names = [name for name, _ in param_shapes(cfg)]
     worst = 0.0
@@ -139,9 +150,9 @@ def grad_check(
         idx = np.unravel_index(int(rng.integers(arr.size)), arr.shape)
         keep = arr[idx]
         arr[idx] = keep + step
-        up = loss_only(batch, params, cfg)
+        up = loss_only(packed, params, cfg)
         arr[idx] = keep - step
-        down = loss_only(batch, params, cfg)
+        down = loss_only(packed, params, cfg)
         arr[idx] = keep
         numeric = (up - down) / (2.0 * step)
         analytic = grads[name][idx]

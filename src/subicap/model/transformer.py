@@ -2,7 +2,7 @@
 
 Encoder: per-image region features, no positional encoding (region order
 carries no information; the geometry gates carry the spatial structure).
-Each layer is geometry-fused multi-head attention followed by a two-layer
+Each layer is geometry-gated multi-head attention followed by a two-layer
 ReLU feed-forward, both with residual adds and post-layer-norm. The gate
 tensor is computed once per image from pairwise box displacements and shared
 by every encoder layer.
@@ -13,14 +13,25 @@ over the encoded regions, feed-forward, each with residual + layer norm.
 The output head is a bias-free projection to the token-id space, so the
 only vocab-size-dependent parameters are the embedding and the head.
 
-Every forward has a hand-written backward; gradients accumulate in a flat
-name->array dict in a fixed order, so training is bitwise reproducible.
-Token ids follow the vocabulary file convention: 0=<pad>, 1=<bos>, 2=<eos>,
-pieces from 3.
+A batch runs as one padded pass: regions (B, N, d) and captions (B, T, d),
+each row of activations one (image, position) pair. Padding sits at the end
+of every row. Padded regions are masked out of every attention as keys;
+padded caption positions need no mask, since causality already hides every
+later position from a real one. The loss reads only the positions that have
+a target, so no gradient reaches a padded row. One image or one prefix
+(encoder_forward, decoder_forward) is the B=1 case of the same forward.
+
+Every forward has a hand-written backward that writes each parameter's
+gradient once, in a fixed order, so training is bitwise reproducible.
+Parameters, gradients and optimizer moments are views into one float64
+vector in param_shapes order (see unflatten). Token ids follow the
+vocabulary file convention: 0=<pad>, 1=<bos>, 2=<eos>, pieces from 3.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import struct
@@ -35,6 +46,7 @@ from .geometry import (
     N_DISP_FEATURES,
     RegionSet,
     displacement_matrix,
+    gated_softmax,
     positional_embed,
 )
 
@@ -138,220 +150,253 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
-def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
+@functools.lru_cache(maxsize=16)
+def _layout(cfg: ModelConfig) -> tuple[tuple[tuple[str, tuple[int, ...], int, int], ...], int]:
+    """((name, shape, start, stop), ...) over the flat vector, and its length."""
+    spans, start = [], 0
     for name, shape in param_shapes(cfg):
-        leaf = name.rsplit(".", 1)[1]
-        if leaf == "g":
-            params[name] = np.ones(shape)
-        elif leaf.startswith("b"):
-            params[name] = np.zeros(shape)
-        elif name == "embed.W":
-            params[name] = rng.normal(0.0, 1.0 / math.sqrt(cfg.d_model), shape)
-        elif name == "out.W":
-            # cool head: initial logits near zero, so the starting cross
-            # entropy sits at ln(vocab_size)
-            params[name] = rng.normal(0.0, 0.1 / math.sqrt(shape[0]), shape)
-        else:
-            params[name] = rng.normal(0.0, 1.0 / math.sqrt(shape[0]), shape)
-    return params
-
-
-def zero_grads(cfg: ModelConfig) -> dict[str, np.ndarray]:
-    return {name: np.zeros(shape) for name, shape in param_shapes(cfg)}
+        stop = start + math.prod(shape)
+        spans.append((name, shape, start, stop))
+        start = stop
+    return tuple(spans), start
 
 
 def num_params(cfg: ModelConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape in param_shapes(cfg))
+    return _layout(cfg)[1]
+
+
+def unflatten(flat: np.ndarray, cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """Name -> view of `flat` (num_params(cfg) float64s) in param_shapes order."""
+    return {name: flat[start:stop].reshape(shape)
+            for name, shape, start, stop in _layout(cfg)[0]}
+
+
+def flatten(tensors, cfg: ModelConfig) -> tuple[np.ndarray, bool]:
+    """All of `tensors` as one float64 vector in param_shapes order.
+
+    Returns (vector, shared). When the tensors are the views unflatten made
+    of one vector, that vector comes back with shared=True, so writing to it
+    writes to the tensors. Otherwise it is a packed copy and shared=False.
+    """
+    spans, size = _layout(cfg)
+    flat = tensors[spans[0][0]].base
+    if (isinstance(flat, np.ndarray) and flat.dtype == np.float64
+            and flat.shape == (size,)
+            and all(tensors[name].base is flat and tensors[name].shape == shape
+                    for name, shape, _, _ in spans)):
+        return flat, True
+    for name, shape, _, _ in spans:
+        if np.shape(tensors[name]) != shape:
+            raise ValueError(f"tensor {name} has shape {np.shape(tensors[name])}, "
+                             f"expected {shape}")
+    return np.concatenate([np.asarray(tensors[name], dtype=np.float64).ravel()
+                           for name, _, _, _ in spans]), False
+
+
+def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
+    """Seeded initial parameters, as views of one flat vector."""
+    rng = np.random.default_rng(seed)
+    params = unflatten(np.empty(num_params(cfg)), cfg)
+    for name, arr in params.items():
+        leaf = name.rsplit(".", 1)[1]
+        if leaf == "g":
+            arr.fill(1.0)
+        elif leaf.startswith("b"):
+            arr.fill(0.0)
+        elif name == "embed.W":
+            arr[...] = rng.normal(0.0, 1.0 / math.sqrt(cfg.d_model), arr.shape)
+        elif name == "out.W":
+            # cool head: initial logits near zero, so the starting cross
+            # entropy sits at ln(vocab_size)
+            arr[...] = rng.normal(0.0, 0.1 / math.sqrt(arr.shape[0]), arr.shape)
+        else:
+            arr[...] = rng.normal(0.0, 1.0 / math.sqrt(arr.shape[0]), arr.shape)
+    return params
 
 
 # ---------------------------------------------------------------------------
-# primitive layers; x is always (T, d)
+# primitive layers; x is always (rows, d), one row per (item, position)
 
 
-def _ln_fwd(x, g, b):
-    mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
+def _ln_fwd(x, params, prefix):
+    xhat = x - x.mean(-1, keepdims=True)
+    var = (xhat * xhat).mean(-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    xhat *= inv
+    g = params[f"{prefix}.g"]
+    out = xhat * g
+    out += params[f"{prefix}.b"]
+    return out, (xhat, inv, g)
 
 
-def _ln_bwd(dy, cache):
+def _ln_bwd(dy, cache, prefix, grads):
     xhat, inv, g = cache
-    dg = (dy * xhat).sum(0)
-    db = dy.sum(0)
+    np.sum(dy * xhat, axis=0, out=grads[f"{prefix}.g"])
+    np.sum(dy, axis=0, out=grads[f"{prefix}.b"])
     dxhat = dy * g
     m1 = dxhat.mean(-1, keepdims=True)
     m2 = (dxhat * xhat).mean(-1, keepdims=True)
-    return inv * (dxhat - m1 - xhat * m2), dg, db
+    return inv * (dxhat - m1 - xhat * m2)
 
 
 def _ffn_fwd(x, params, prefix):
-    pre = x @ params[f"{prefix}.W1"] + params[f"{prefix}.b1"]
-    h = np.maximum(pre, 0.0)
-    out = h @ params[f"{prefix}.W2"] + params[f"{prefix}.b2"]
-    return out, (x, pre, h)
+    pre = x @ params[f"{prefix}.W1"]
+    pre += params[f"{prefix}.b1"]
+    out = np.maximum(pre, 0.0) @ params[f"{prefix}.W2"]
+    out += params[f"{prefix}.b2"]
+    return out, (x, pre)
 
 
 def _ffn_bwd(dout, params, prefix, cache, grads):
-    x, pre, h = cache
-    grads[f"{prefix}.W2"] += h.T @ dout
-    grads[f"{prefix}.b2"] += dout.sum(0)
-    dh = dout @ params[f"{prefix}.W2"].T
-    dpre = dh * (pre > 0.0)
-    grads[f"{prefix}.W1"] += x.T @ dpre
-    grads[f"{prefix}.b1"] += dpre.sum(0)
+    x, pre = cache
+    np.matmul(np.maximum(pre, 0.0).T, dout, out=grads[f"{prefix}.W2"])
+    np.sum(dout, axis=0, out=grads[f"{prefix}.b2"])
+    dpre = dout @ params[f"{prefix}.W2"].T
+    dpre *= pre > 0.0
+    np.matmul(x.T, dpre, out=grads[f"{prefix}.W1"])
+    np.sum(dpre, axis=0, out=grads[f"{prefix}.b1"])
     return dpre @ params[f"{prefix}.W1"].T
 
 
-def _split_heads(x, n_heads):
-    t, d = x.shape
-    return x.reshape(t, n_heads, d // n_heads).transpose(1, 0, 2)
+def _split_heads(x, b, n_heads):
+    rows, d = x.shape
+    return x.reshape(b, rows // b, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x):
-    h, t, dk = x.shape
-    return x.transpose(1, 0, 2).reshape(t, h * dk)
+    b, h, t, dk = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b * t, h * dk)
 
 
-def _project_qkv(xq, xkv, params, prefix, n_heads):
-    q = xq @ params[f"{prefix}.Wq"] + params[f"{prefix}.bq"]
-    k = xkv @ params[f"{prefix}.Wk"]
-    v = xkv @ params[f"{prefix}.Wv"] + params[f"{prefix}.bv"]
-    return _split_heads(q, n_heads), _split_heads(k, n_heads), _split_heads(v, n_heads)
+def _attn_fwd(xq, xkv, b, params, prefix, n_heads, mask=None, gates=None):
+    """Multi-head attention over b sequences at once.
 
-
-def _mha_fwd(xq, xkv, params, prefix, n_heads, mask=None):
-    """Standard scaled-dot attention; mask is (Tq, Tk) bool, True = attend."""
-    qh, kh, vh = _project_qkv(xq, xkv, params, prefix, n_heads)
+    xq (b*Tq, d) and xkv (b*Tk, d) hold each sequence's rows in turn.
+    mask is additive and broadcasts to (b, H, Tq, Tk): 0 where a query may
+    attend, -inf where it may not. gates (b, H, Tq, Tk), nonnegative,
+    reweight the softmax as in geometry.gated_softmax.
+    """
+    q = xq @ params[f"{prefix}.Wq"]
+    q += params[f"{prefix}.bq"]
+    v = xkv @ params[f"{prefix}.Wv"]
+    v += params[f"{prefix}.bv"]
+    qh = _split_heads(q, b, n_heads)
+    kh = _split_heads(xkv @ params[f"{prefix}.Wk"], b, n_heads)
+    vh = _split_heads(v, b, n_heads)
     scale = 1.0 / math.sqrt(qh.shape[-1])
-    scores = qh @ kh.transpose(0, 2, 1) * scale
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= scale
     if mask is not None:
-        scores = np.where(mask, scores, -np.inf)
-    p = np.exp(scores - scores.max(-1, keepdims=True))
-    p /= p.sum(-1, keepdims=True)
+        scores += mask
+    if gates is None:
+        p = scores
+        p -= p.max(-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(-1, keepdims=True)
+        gating = None
+    else:
+        p, e, denom, fallback = gated_softmax(scores, gates)
+        gating = (e, denom, fallback)
     ctx = _merge_heads(p @ vh)
-    out = ctx @ params[f"{prefix}.Wo"] + params[f"{prefix}.bo"]
-    return out, (xq, xkv, qh, kh, vh, p, ctx, scale)
+    out = ctx @ params[f"{prefix}.Wo"]
+    out += params[f"{prefix}.bo"]
+    return out, (xq, xkv, qh, kh, vh, p, ctx, scale, gating)
 
 
-def _mha_bwd(dout, params, prefix, cache, grads):
-    xq, xkv, qh, kh, vh, p, ctx, scale = cache
-    grads[f"{prefix}.Wo"] += ctx.T @ dout
-    grads[f"{prefix}.bo"] += dout.sum(0)
-    dctx = _split_heads(dout @ params[f"{prefix}.Wo"].T, p.shape[0])
-    dp = dctx @ vh.transpose(0, 2, 1)
-    dvh = p.transpose(0, 2, 1) @ dctx
-    # softmax backward; masked cells have p == 0 so no gradient leaks past
-    # the mask
-    ds = p * (dp - (dp * p).sum(-1, keepdims=True))
-    dqh = ds @ kh * scale
-    dkh = ds.transpose(0, 2, 1) @ qh * scale
-    dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
-    grads[f"{prefix}.Wq"] += xq.T @ dq
-    grads[f"{prefix}.bq"] += dq.sum(0)
-    grads[f"{prefix}.Wk"] += xkv.T @ dk
-    grads[f"{prefix}.Wv"] += xkv.T @ dv
-    grads[f"{prefix}.bv"] += dv.sum(0)
-    dxq = dq @ params[f"{prefix}.Wq"].T
-    dxkv = dk @ params[f"{prefix}.Wk"].T + dv @ params[f"{prefix}.Wv"].T
-    return dxq, dxkv
-
-
-def _fused_mha_fwd(x, params, prefix, n_heads, gates):
-    """Encoder attention with geometric gates (H, N, N)."""
-    qh, kh, vh = _project_qkv(x, x, params, prefix, n_heads)
-    scale = 1.0 / math.sqrt(qh.shape[-1])
-    scores = qh @ kh.transpose(0, 2, 1) * scale
-    e = np.exp(scores - scores.max(-1, keepdims=True))
-    gated = gates * e
-    denom = gated.sum(-1, keepdims=True)
-    fallback = denom == 0.0
-    safe = np.where(fallback, 1.0, denom)
-    p = np.where(fallback, e / e.sum(-1, keepdims=True), gated / safe)
-    ctx = _merge_heads(p @ vh)
-    out = ctx @ params[f"{prefix}.Wo"] + params[f"{prefix}.bo"]
-    return out, (x, qh, kh, vh, e, safe, fallback, p, ctx, scale)
-
-
-def _fused_mha_bwd(dout, params, prefix, cache, grads):
-    x, qh, kh, vh, e, safe, fallback, p, ctx, scale = cache
-    grads[f"{prefix}.Wo"] += ctx.T @ dout
-    grads[f"{prefix}.bo"] += dout.sum(0)
-    dctx = _split_heads(dout @ params[f"{prefix}.Wo"].T, p.shape[0])
-    dp = dctx @ vh.transpose(0, 2, 1)
-    dvh = p.transpose(0, 2, 1) @ dctx
+def _attn_bwd(dout, params, prefix, cache, grads):
+    """Returns (dxq, dxkv, dgates); dgates is None without gates."""
+    xq, xkv, qh, kh, vh, p, ctx, scale, gating = cache
+    b, n_heads = p.shape[:2]
+    np.matmul(ctx.T, dout, out=grads[f"{prefix}.Wo"])
+    np.sum(dout, axis=0, out=grads[f"{prefix}.bo"])
+    dctx = _split_heads(dout @ params[f"{prefix}.Wo"].T, b, n_heads)
+    dp = dctx @ vh.swapaxes(-1, -2)
+    dvh = p.swapaxes(-1, -2) @ dctx
+    # w.r.t. scores the gated, fallback and plain softmax share one formula;
+    # masked cells have p == 0, so no gradient leaks past the mask
     common = dp - (dp * p).sum(-1, keepdims=True)
-    # w.r.t. scores the fused and fallback branches share one formula;
-    # gates get gradient only where they actually acted
     ds = p * common
-    dgates = np.where(fallback, 0.0, common * e / safe)
-    dqh = ds @ kh * scale
-    dkh = ds.transpose(0, 2, 1) @ qh * scale
-    dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
-    grads[f"{prefix}.Wq"] += x.T @ dq
-    grads[f"{prefix}.bq"] += dq.sum(0)
-    grads[f"{prefix}.Wk"] += x.T @ dk
-    grads[f"{prefix}.Wv"] += x.T @ dv
-    grads[f"{prefix}.bv"] += dv.sum(0)
-    dx = dq @ params[f"{prefix}.Wq"].T
-    dx += dk @ params[f"{prefix}.Wk"].T
-    dx += dv @ params[f"{prefix}.Wv"].T
-    return dx, dgates
+    dgates = None
+    if gating is not None:
+        # gates get gradient only where they actually acted
+        e, denom, fallback = gating
+        dgates = common * e / denom
+        if fallback.any():
+            dgates = np.where(fallback, 0.0, dgates)
+    dq = _merge_heads(ds @ kh * scale)
+    dk = _merge_heads(ds.swapaxes(-1, -2) @ qh * scale)
+    dv = _merge_heads(dvh)
+    np.matmul(xq.T, dq, out=grads[f"{prefix}.Wq"])
+    np.sum(dq, axis=0, out=grads[f"{prefix}.bq"])
+    np.matmul(xkv.T, dk, out=grads[f"{prefix}.Wk"])
+    np.matmul(xkv.T, dv, out=grads[f"{prefix}.Wv"])
+    np.sum(dv, axis=0, out=grads[f"{prefix}.bv"])
+    dxq = dq @ params[f"{prefix}.Wq"].T
+    dxkv = dk @ params[f"{prefix}.Wk"].T
+    dxkv += dv @ params[f"{prefix}.Wv"].T
+    return dxq, dxkv, dgates
 
 
 # ---------------------------------------------------------------------------
 # encoder
 
 
-def _encoder_fwd(regions: RegionSet, params, cfg: ModelConfig):
+def _check_width(regions: RegionSet, cfg: ModelConfig) -> None:
     if regions.appearance.shape[1] != cfg.d_in:
         raise ValueError(
             f"appearance width {regions.appearance.shape[1]} != d_in {cfg.d_in}"
         )
-    x = regions.appearance @ params["appear.W"] + params["appear.b"]
-    emb = positional_embed(displacement_matrix(regions), cfg.geo_embed_dim)
-    pre = emb @ params["geo.W_G"]  # (N, N, H)
-    gates = np.maximum(pre, 0.0).transpose(2, 0, 1)
+
+
+def _geometry(regions: RegionSet, cfg: ModelConfig) -> np.ndarray:
+    """(N, N, 4 * geo_embed_dim) embedded pairwise displacements."""
+    return positional_embed(displacement_matrix(regions), cfg.geo_embed_dim)
+
+
+def _encoder_fwd(appearance, geometry, mask, params, cfg: ModelConfig):
+    """appearance (B, N, d_in), geometry (B, N, N, G) -> memory (B*N, d)."""
+    b, n, d_in = appearance.shape
+    x = appearance.reshape(b * n, d_in) @ params["appear.W"]
+    x += params["appear.b"]
+    pre = (geometry.reshape(-1, geometry.shape[-1]) @ params["geo.W_G"]).reshape(
+        b, n, n, cfg.n_heads)
+    gates = np.maximum(pre, 0.0).transpose(0, 3, 1, 2)
     layers = []
     for i in range(cfg.n_enc_layers):
-        att, c_att = _fused_mha_fwd(x, params, f"enc{i}.attn", cfg.n_heads, gates)
-        h1, c_ln1 = _ln_fwd(x + att, params[f"enc{i}.ln1.g"], params[f"enc{i}.ln1.b"])
+        att, c_att = _attn_fwd(x, x, b, params, f"enc{i}.attn", cfg.n_heads,
+                               mask, gates)
+        h1, c_ln1 = _ln_fwd(x + att, params, f"enc{i}.ln1")
         ff, c_ffn = _ffn_fwd(h1, params, f"enc{i}.ffn")
-        x, c_ln2 = _ln_fwd(h1 + ff, params[f"enc{i}.ln2.g"], params[f"enc{i}.ln2.b"])
+        x, c_ln2 = _ln_fwd(h1 + ff, params, f"enc{i}.ln2")
         layers.append((c_att, c_ln1, c_ffn, c_ln2))
-    return x, (regions, emb, pre, layers)
+    return x, (appearance, geometry, pre, layers)
 
 
-def _encoder_bwd(dq, cache, params, cfg: ModelConfig, grads):
-    regions, emb, pre, layers = cache
-    dgates_total = None
-    dx = dq
+def _encoder_bwd(dx, cache, params, cfg: ModelConfig, grads):
+    appearance, geometry, pre, layers = cache
+    dgates = None
     for i in range(cfg.n_enc_layers - 1, -1, -1):
-        c_att, c_ln1, c_ffn, c_ln2 = layers[i]
-        dsum2, dg2, db2 = _ln_bwd(dx, c_ln2)
-        grads[f"enc{i}.ln2.g"] += dg2
-        grads[f"enc{i}.ln2.b"] += db2
+        c_att, c_ln1, c_ffn, c_ln2 = layers.pop()  # frees each layer once done
+        dsum2 = _ln_bwd(dx, c_ln2, f"enc{i}.ln2", grads)
         dh1 = dsum2 + _ffn_bwd(dsum2, params, f"enc{i}.ffn", c_ffn, grads)
-        dsum1, dg1, db1 = _ln_bwd(dh1, c_ln1)
-        grads[f"enc{i}.ln1.g"] += dg1
-        grads[f"enc{i}.ln1.b"] += db1
-        datt, dgates = _fused_mha_bwd(dsum1, params, f"enc{i}.attn", c_att, grads)
-        dx = dsum1 + datt
-        dgates_total = dgates if dgates_total is None else dgates_total + dgates
-    dpre = dgates_total.transpose(1, 2, 0) * (pre > 0.0)
-    flat = emb.reshape(-1, emb.shape[-1])
-    grads["geo.W_G"] += flat.T @ dpre.reshape(-1, dpre.shape[-1])
-    grads["appear.W"] += regions.appearance.T @ dx
-    grads["appear.b"] += dx.sum(0)
+        dsum1 = _ln_bwd(dh1, c_ln1, f"enc{i}.ln1", grads)
+        dxq, dxkv, dg = _attn_bwd(dsum1, params, f"enc{i}.attn", c_att, grads)
+        dx = dsum1 + dxq
+        dx += dxkv
+        dgates = dg if dgates is None else dgates + dg
+    dpre = dgates.transpose(0, 2, 3, 1) * (pre > 0.0)
+    np.matmul(geometry.reshape(-1, geometry.shape[-1]).T,
+              dpre.reshape(-1, cfg.n_heads), out=grads["geo.W_G"])
+    np.matmul(appearance.reshape(-1, appearance.shape[-1]).T, dx,
+              out=grads["appear.W"])
+    np.sum(dx, axis=0, out=grads["appear.b"])
 
 
 def encoder_forward(regions: RegionSet, params, cfg: ModelConfig) -> np.ndarray:
     """Encoded region memory q, shape (N, d_model)."""
-    q, _ = _encoder_fwd(regions, params, cfg)
+    _check_width(regions, cfg)
+    q, _ = _encoder_fwd(regions.appearance[None], _geometry(regions, cfg)[None],
+                        None, params, cfg)
     return q
 
 
@@ -369,64 +414,67 @@ def sinusoid_positions(n: int, d: int) -> np.ndarray:
     return out
 
 
-def _decoder_fwd(q, ids, params, cfg: ModelConfig):
-    ids = np.asarray(ids, dtype=np.int64)
-    t = ids.shape[0]
-    if t == 0:
-        raise ValueError("decoder needs at least one input token")
-    if t > cfg.max_seq_len:
-        raise ValueError(f"sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
-    scale = math.sqrt(cfg.d_model)
-    x = params["embed.W"][ids] * scale + sinusoid_positions(t, cfg.d_model)
-    mask = np.tril(np.ones((t, t), dtype=bool))
+def _decoder_fwd(q, inputs, region_mask, params, cfg: ModelConfig):
+    """inputs (B, T) ids over memory q (B*N, d) -> final hidden rows (B*T, d)."""
+    b, t = inputs.shape
+    d = cfg.d_model
+    scale = math.sqrt(d)
+    x = params["embed.W"][inputs]
+    x *= scale
+    x += sinusoid_positions(t, d)
+    x = x.reshape(b * t, d)
+    causal = np.triu(np.full((t, t), -np.inf), 1)
     layers = []
     for i in range(cfg.n_dec_layers):
-        s, c_s = _mha_fwd(x, x, params, f"dec{i}.self", cfg.n_heads, mask)
-        h1, c1 = _ln_fwd(x + s, params[f"dec{i}.ln1.g"], params[f"dec{i}.ln1.b"])
-        cr, c_c = _mha_fwd(h1, q, params, f"dec{i}.cross", cfg.n_heads)
-        h2, c2 = _ln_fwd(h1 + cr, params[f"dec{i}.ln2.g"], params[f"dec{i}.ln2.b"])
+        s, c_s = _attn_fwd(x, x, b, params, f"dec{i}.self", cfg.n_heads, causal)
+        h1, c1 = _ln_fwd(x + s, params, f"dec{i}.ln1")
+        cr, c_c = _attn_fwd(h1, q, b, params, f"dec{i}.cross", cfg.n_heads,
+                            region_mask)
+        h2, c2 = _ln_fwd(h1 + cr, params, f"dec{i}.ln2")
         ff, c_f = _ffn_fwd(h2, params, f"dec{i}.ffn")
-        x, c3 = _ln_fwd(h2 + ff, params[f"dec{i}.ln3.g"], params[f"dec{i}.ln3.b"])
+        x, c3 = _ln_fwd(h2 + ff, params, f"dec{i}.ln3")
         layers.append((c_s, c1, c_c, c2, c_f, c3))
-    logits = x @ params["out.W"]
-    return logits, (ids, scale, x, layers)
+    return x, (inputs, scale, layers)
 
 
-def _decoder_bwd(dlogits, cache, params, cfg: ModelConfig, grads):
-    """Returns dq accumulated over the cross-attention of every layer."""
-    ids, scale, x_final, layers = cache
-    grads["out.W"] += x_final.T @ dlogits
-    dx = dlogits @ params["out.W"].T
+def _decoder_bwd(dx, cache, params, cfg: ModelConfig, grads):
+    """dx is the gradient at the final hidden rows; returns dq summed over
+    the cross-attention of every layer."""
+    inputs, scale, layers = cache
     dq = None
     for i in range(cfg.n_dec_layers - 1, -1, -1):
-        c_s, c1, c_c, c2, c_f, c3 = layers[i]
-        dsum3, dg3, db3 = _ln_bwd(dx, c3)
-        grads[f"dec{i}.ln3.g"] += dg3
-        grads[f"dec{i}.ln3.b"] += db3
+        c_s, c1, c_c, c2, c_f, c3 = layers.pop()  # frees each layer once done
+        dsum3 = _ln_bwd(dx, c3, f"dec{i}.ln3", grads)
         dh2 = dsum3 + _ffn_bwd(dsum3, params, f"dec{i}.ffn", c_f, grads)
-        dsum2, dg2, db2 = _ln_bwd(dh2, c2)
-        grads[f"dec{i}.ln2.g"] += dg2
-        grads[f"dec{i}.ln2.b"] += db2
-        dh1_c, dq_i = _mha_bwd(dsum2, params, f"dec{i}.cross", c_c, grads)
+        dsum2 = _ln_bwd(dh2, c2, f"dec{i}.ln2", grads)
+        dh1_c, dq_i, _ = _attn_bwd(dsum2, params, f"dec{i}.cross", c_c, grads)
         dh1 = dsum2 + dh1_c
         dq = dq_i if dq is None else dq + dq_i
-        dsum1, dg1, db1 = _ln_bwd(dh1, c1)
-        grads[f"dec{i}.ln1.g"] += dg1
-        grads[f"dec{i}.ln1.b"] += db1
-        dxq, dxkv = _mha_bwd(dsum1, params, f"dec{i}.self", c_s, grads)
-        dx = dsum1 + dxq + dxkv
-    np.add.at(grads["embed.W"], ids, dx * scale)
+        dsum1 = _ln_bwd(dh1, c1, f"dec{i}.ln1", grads)
+        dxq, dxkv, _ = _attn_bwd(dsum1, params, f"dec{i}.self", c_s, grads)
+        dx = dsum1 + dxq
+        dx += dxkv
+    g_embed = grads["embed.W"]
+    g_embed.fill(0.0)
+    dx *= scale
+    np.add.at(g_embed, inputs.reshape(-1), dx)
     return dq
 
 
 def decoder_forward(q, prefix_ids, params, cfg: ModelConfig) -> np.ndarray:
     """Next-token logits for every prefix position, shape (T, vocab_size)."""
-    logits, _ = _decoder_fwd(q, prefix_ids, params, cfg)
-    return logits
+    ids = np.asarray(prefix_ids, dtype=np.int64)
+    t = ids.shape[0]
+    if t == 0:
+        raise ValueError("decoder needs at least one input token")
+    if t > cfg.max_seq_len:
+        raise ValueError(f"sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
+    h, _ = _decoder_fwd(q, ids[None], None, params, cfg)
+    return h @ params["out.W"]
 
 
 # ---------------------------------------------------------------------------
-# loss
+# batches and the loss
 
 
 def frame_sequence(content_ids: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -435,58 +483,117 @@ def frame_sequence(content_ids: Sequence[int]) -> tuple[list[int], list[int]]:
     return full[:-1], full[1:]
 
 
+@dataclass(frozen=True)
+class PackedBatch:
+    """A batch as padded arrays. It depends on the batch and on the config's
+    shapes only, so it can be built once and reused for every step."""
+
+    appearance: np.ndarray  # (B, N, d_in), zero rows past an image's regions
+    geometry: np.ndarray  # (B, N, N, 4 * geo_embed_dim), zero past them
+    # (B, 1, 1, N): 0 for a region, -inf for padding; None if nothing is padded
+    region_mask: np.ndarray | None
+    inputs: np.ndarray  # (B, T) decoder inputs, PAD_ID past each caption
+    rows: np.ndarray  # (R,) indices into the B*T positions that have a target
+    targets: np.ndarray  # (R,) the next-token target at each of those rows
+
+
 Batch = Sequence[tuple[RegionSet, Sequence[int]]]
 
 
-def _check_batch(batch: Batch) -> None:
+def pack_batch(batch: Batch, cfg: ModelConfig) -> PackedBatch:
+    """Pad a batch of (regions, caption piece ids) for one forward pass."""
     if not batch:
         raise ValueError("empty batch")
-    for k, (_, ids) in enumerate(batch):
+    for k, (regions, ids) in enumerate(batch):
         if len(ids) == 0:
             raise ValueError(f"batch item {k} has an empty token sequence; "
                              "nothing to predict")
+        if len(ids) + 1 > cfg.max_seq_len:
+            raise ValueError(f"batch item {k} has {len(ids)} pieces; max_seq_len "
+                             f"{cfg.max_seq_len} fits at most {cfg.max_seq_len - 1}")
+        _check_width(regions, cfg)
+    counts = np.array([len(regions) for regions, _ in batch])
+    b, n = len(batch), int(counts.max())
+    t = max(len(ids) for _, ids in batch) + 1
+    appearance = np.zeros((b, n, cfg.d_in))
+    geometry = np.zeros((b, n, n, N_DISP_FEATURES * cfg.geo_embed_dim))
+    inputs = np.full((b, t), PAD_ID, dtype=np.int64)
+    rows: list[int] = []
+    targets: list[int] = []
+    for k, (regions, ids) in enumerate(batch):
+        m = len(regions)
+        appearance[k, :m] = regions.appearance
+        geometry[k, :m, :m] = _geometry(regions, cfg)
+        framed_in, framed_out = frame_sequence(ids)
+        inputs[k, : len(framed_in)] = framed_in
+        rows.extend(range(k * t, k * t + len(framed_out)))
+        targets.extend(framed_out)
+    region_mask = None
+    if counts.min() < n:
+        region_mask = np.where(np.arange(n) < counts[:, None], 0.0, -np.inf)
+        region_mask = region_mask[:, None, None, :]
+    return PackedBatch(appearance, geometry, region_mask, inputs,
+                       np.array(rows, dtype=np.int64),
+                       np.array(targets, dtype=np.int64))
 
 
-def loss_and_grads(batch: Batch, params, cfg: ModelConfig):
+def _packed(batch, cfg: ModelConfig) -> PackedBatch:
+    return batch if isinstance(batch, PackedBatch) else pack_batch(batch, cfg)
+
+
+def _forward(packed: PackedBatch, params, cfg: ModelConfig):
+    """The model on a packed batch: logits at the target rows only, (R, V)."""
+    q, enc = _encoder_fwd(packed.appearance, packed.geometry, packed.region_mask,
+                          params, cfg)
+    h, dec = _decoder_fwd(q, packed.inputs, packed.region_mask, params, cfg)
+    hidden = h[packed.rows]
+    return hidden @ params["out.W"], (hidden, h.shape, enc, dec)
+
+
+def target_logits(batch: Batch | PackedBatch, params,
+                  cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(logits, targets) at every position that has a target, in batch
+    order: logits (R, vocab_size), targets (R,)."""
+    packed = _packed(batch, cfg)
+    logits, _ = _forward(packed, params, cfg)
+    return logits, packed.targets
+
+
+def _cross_entropy(logits, targets) -> float:
+    """Summed cross entropy; turns logits into softmax rows in place."""
+    logits -= logits.max(-1, keepdims=True)
+    picked = logits[np.arange(len(targets)), targets]
+    np.exp(logits, out=logits)
+    z = logits.sum(-1, keepdims=True)
+    logits /= z
+    return float((np.log(z[:, 0]) - picked).sum())
+
+
+def loss_and_grads(batch: Batch | PackedBatch, params, cfg: ModelConfig):
     """Mean next-token cross entropy over the batch, with gradients.
 
-    Samples are processed in batch order and gradients summed in that fixed
-    order, so results are bitwise reproducible.
+    Gradients come back as views of one fresh flat vector. Every sum runs
+    in a fixed order, so results are bitwise reproducible.
     """
-    _check_batch(batch)
-    total_targets = sum(len(ids) + 1 for _, ids in batch)  # +1 for <eos>
-    grads = zero_grads(cfg)
-    loss = 0.0
-    for regions, ids in batch:
-        inputs, targets = frame_sequence(ids)
-        q, enc_cache = _encoder_fwd(regions, params, cfg)
-        logits, dec_cache = _decoder_fwd(q, inputs, params, cfg)
-        shifted = logits - logits.max(-1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(-1, keepdims=True))
-        logp = shifted - log_z
-        rows = np.arange(len(targets))
-        tgt = np.asarray(targets)
-        loss += -logp[rows, tgt].sum()
-        dlogits = np.exp(logp)
-        dlogits[rows, tgt] -= 1.0
-        dlogits /= total_targets
-        dq = _decoder_bwd(dlogits, dec_cache, params, cfg, grads)
-        _encoder_bwd(dq, enc_cache, params, cfg, grads)
-    return loss / total_targets, grads
+    packed = _packed(batch, cfg)
+    dlogits, (hidden, h_shape, enc, dec) = _forward(packed, params, cfg)
+    n = len(packed.targets)
+    loss = _cross_entropy(dlogits, packed.targets)
+    dlogits[np.arange(n), packed.targets] -= 1.0
+    dlogits /= n
+    grads = unflatten(np.empty(num_params(cfg)), cfg)
+    np.matmul(hidden.T, dlogits, out=grads["out.W"])
+    dh = np.zeros(h_shape)
+    dh[packed.rows] = dlogits @ params["out.W"].T
+    del dlogits, hidden
+    dq = _decoder_bwd(dh, dec, params, cfg, grads)
+    _encoder_bwd(dq, enc, params, cfg, grads)
+    return loss / n, grads
 
 
-def loss_only(batch: Batch, params, cfg: ModelConfig) -> float:
-    _check_batch(batch)
-    total_targets = sum(len(ids) + 1 for _, ids in batch)
-    loss = 0.0
-    for regions, ids in batch:
-        inputs, targets = frame_sequence(ids)
-        q, _ = _encoder_fwd(regions, params, cfg)
-        logits, _ = _decoder_fwd(q, inputs, params, cfg)
-        shifted = logits - logits.max(-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(-1, keepdims=True))
-        loss += -logp[np.arange(len(targets)), np.asarray(targets)].sum()
-    return loss / total_targets
+def loss_only(batch: Batch | PackedBatch, params, cfg: ModelConfig) -> float:
+    logits, targets = target_logits(batch, params, cfg)
+    return _cross_entropy(logits, targets) / len(targets)
 
 
 # ---------------------------------------------------------------------------
@@ -495,32 +602,62 @@ def loss_only(batch: Batch, params, cfg: ModelConfig) -> float:
 
 _CKPT_FORMAT = "subicap-checkpoint"
 _CKPT_VERSION = 1
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ModelConfig))
+
+
+def _tensor_table(cfg: ModelConfig) -> list[dict]:
+    return [{"name": name, "shape": list(shape), "dtype": "<f8"}
+            for name, shape in param_shapes(cfg)]
 
 
 def save_checkpoint(path: str | Path, params, cfg: ModelConfig) -> None:
-    shapes = param_shapes(cfg)
+    try:
+        flat, _ = flatten(params, cfg)
+    except ValueError as err:
+        raise CheckpointError(str(err)) from None
     header = {
         "format": _CKPT_FORMAT,
         "version": _CKPT_VERSION,
         "config": asdict(cfg),
-        "tensors": [
-            {"name": name, "shape": list(shape), "dtype": "<f8"}
-            for name, shape in shapes
-        ],
+        "tensors": _tensor_table(cfg),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for name, shape in shapes:
-            arr = params[name]
-            if arr.shape != shape:
-                raise CheckpointError(f"tensor {name} has shape {arr.shape}, "
-                                      f"expected {shape}")
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(flat.astype("<f8", copy=False).tobytes())
+
+
+def _header_config(header, path) -> ModelConfig:
+    """The config of a parsed header, after checking the header's schema."""
+    if not isinstance(header, dict) or header.get("format") != _CKPT_FORMAT:
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    if header.get("version") != _CKPT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version "
+                              f"{header.get('version')!r}")
+    config = header.get("config")
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: header has no config object")
+    if set(config) != _CONFIG_FIELDS:
+        raise CheckpointError(
+            f"{path}: config keys differ from the model's: unknown "
+            f"{sorted(set(config) - _CONFIG_FIELDS)}, missing "
+            f"{sorted(_CONFIG_FIELDS - set(config))}")
+    for key, value in sorted(config.items()):
+        if type(value) is not int:
+            raise CheckpointError(f"{path}: config {key} must be an integer, "
+                                  f"got {value!r}")
+    try:
+        cfg = ModelConfig(**config)
+    except ValueError as err:
+        raise CheckpointError(f"{path}: bad config: {err}") from None
+    if header.get("tensors") != _tensor_table(cfg):
+        raise CheckpointError(f"{path}: tensor table does not match its config")
+    return cfg
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig]:
+    """Parameters, as views of one flat vector, and their config."""
     raw = Path(path).read_bytes()
     if len(raw) < 4:
         raise CheckpointError(f"{path}: truncated header")
@@ -531,23 +668,12 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfi
         header = json.loads(raw[4 : 4 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"{path}: bad header: {err}") from None
-    if header.get("format") != _CKPT_FORMAT:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    cfg = ModelConfig(**header["config"])
-    expected = param_shapes(cfg)
-    stored = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
-    if stored != expected:
-        raise CheckpointError(f"{path}: tensor table does not match its config")
-    params: dict[str, np.ndarray] = {}
-    offset = 4 + hlen
-    for name, shape in expected:
-        n = int(np.prod(shape)) * 8
-        if offset + n > len(raw):
-            raise CheckpointError(f"{path}: truncated payload at {name}")
-        params[name] = np.frombuffer(
-            raw, dtype="<f8", count=int(np.prod(shape)), offset=offset
-        ).reshape(shape).copy()
-        offset += n
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
-    return params, cfg
+    cfg = _header_config(header, path)
+    offset, size = 4 + hlen, 8 * num_params(cfg)
+    if len(raw) - offset < size:
+        raise CheckpointError(f"{path}: truncated payload: {len(raw) - offset} "
+                              f"bytes for {size}")
+    if len(raw) - offset > size:
+        raise CheckpointError(f"{path}: {len(raw) - offset - size} trailing bytes")
+    flat = np.frombuffer(raw, dtype="<f8", count=size // 8, offset=offset)
+    return unflatten(flat.astype(np.float64), cfg), cfg

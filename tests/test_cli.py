@@ -7,6 +7,8 @@ byte-identical up to manifest timestamps.
 
 import io
 import json
+import logging
+import struct
 from pathlib import Path
 
 import pytest
@@ -320,6 +322,67 @@ class TestModelCommands:
                    "--tokenizer", str(other), "--out", str(tmp_path / "g")])
         assert rc == 2
         assert "token ids" in capsys.readouterr().err
+
+
+class TestTrainLmChecks:
+    def test_zero_steps_fails_before_writing_anything(self, vocab_file,
+                                                      tmp_path, capsys):
+        out = tmp_path / "model.ckpt"
+        rc = main(["train-lm", "--tokenizer", str(vocab_file), "--out", str(out),
+                   "--steps", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("subicap: error:") and len(err.splitlines()) == 1
+        assert "--steps" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overlong_caption_names_its_image(self, vocab_file, tmp_path, capsys):
+        out = tmp_path / "model.ckpt"
+        rc = main(["train-lm", "--tokenizer", str(vocab_file), "--out", str(out),
+                   "--steps", "1", "--images", "2", "--max-len", "4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("subicap: error:") and len(err.splitlines()) == 1
+        assert "synth0000" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_logs_a_fixed_cadence_plus_the_final_step(self, vocab_file, tmp_path,
+                                                      caplog):
+        caplog.set_level(logging.INFO, logger="subicap")
+        assert main(["train-lm", "--tokenizer", str(vocab_file),
+                     "--out", str(tmp_path / "model.ckpt"), "--steps", "250",
+                     "--images", "2", "--d-model", "8", "--d-ff", "16",
+                     "--layers", "1", "--geo-dim", "4", "--max-len", "24"]) == 0
+        steps = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("step=")]
+        assert 2 <= len(steps) <= 4
+        assert steps[0].startswith("step=0 ") and steps[-1].startswith("step=249 ")
+
+
+def _edit_header(path, edit):
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[:4])
+    header = json.loads(raw[4 : 4 + n])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + n :])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.pop("config"),
+    lambda h: h["config"].update(dropout=0),
+    lambda h: h["config"].update(d_model="16"),
+], ids=["missing-config", "unknown-config-key", "string-d-model"])
+def test_generate_rejects_malformed_checkpoint_header(checkpoint, vocab_file,
+                                                      tmp_path, capsys, edit):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(checkpoint.read_bytes())
+    _edit_header(bad, edit)
+    rc = main(["generate", "--checkpoint", str(bad), "--tokenizer", str(vocab_file),
+               "--out", str(tmp_path / "gen.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("subicap: error:") and len(err.splitlines()) == 1
 
 
 class TestErrorContract:

@@ -78,6 +78,22 @@ class TestAdam:
                 params[name] - before[name], expected, rtol=1e-9, atol=1e-18
             )
 
+    def test_update_on_separate_copies_matches_update_on_views(self):
+        batch = _make_batch(4)
+        views = init_params(CFG, seed=4)
+        copies = {k: v.copy() for k, v in views.items()}
+        held = dict(copies)
+        tc = TrainConfig(lr=1e-3)
+        state_v, state_c = AdamState.init(CFG), AdamState.init(CFG)
+        for _ in range(3):
+            lv = train_step(batch, views, CFG, state_v, tc)
+            lc = train_step(batch, copies, CFG, state_c, tc)
+            assert lv == lc
+        for name, _ in param_shapes(CFG):
+            assert copies[name] is held[name]  # updated in place
+            assert np.array_equal(copies[name], views[name])
+            assert np.array_equal(state_c.m[name], state_v.m[name])
+
     def test_loss_decreases(self):
         batch = _make_batch(1)
         params = init_params(CFG, seed=1)

@@ -5,7 +5,9 @@ uses explicit per-row, per-head Python loops instead of batched matmuls.
 Both run in float64, so they must agree to near machine precision.
 """
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -19,16 +21,19 @@ from subicap.model.transformer import (
     ModelConfig,
     decoder_forward,
     encoder_forward,
+    flatten,
     frame_sequence,
     init_params,
     load_checkpoint,
     loss_and_grads,
     loss_only,
     num_params,
+    pack_batch,
     paper_scale_config,
     param_shapes,
     save_checkpoint,
     sinusoid_positions,
+    target_logits,
 )
 
 CFG = ModelConfig(vocab_size=12, d_model=8, n_enc_layers=2, n_dec_layers=2,
@@ -344,6 +349,105 @@ class TestLoss:
         assert two == pytest.approx(one, rel=1e-12)
 
 
+def _ragged_batch(rng, n_items=4):
+    """2-4 regions and 3-7 pieces per item, with at least two region counts."""
+    while True:
+        batch = [
+            (_random_regions(rng, int(rng.integers(2, 5))),
+             list(rng.integers(3, 12, size=int(rng.integers(3, 8)))))
+            for _ in range(n_items)
+        ]
+        if len({len(regions) for regions, _ in batch}) > 1:
+            return batch
+
+
+class TestBatchedPath:
+    """One padded pass over the batch against one pass per item."""
+
+    def test_loss_and_grads_are_the_target_weighted_item_means(self):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            batch = _ragged_batch(rng)
+            params = init_params(CFG, seed=seed)
+            loss, grads = loss_and_grads(batch, params, CFG)
+            weights = [len(ids) + 1 for _, ids in batch]
+            items = [loss_and_grads([item], params, CFG) for item in batch]
+            want = sum(w * l for w, (l, _) in zip(weights, items)) / sum(weights)
+            assert loss == pytest.approx(want, rel=1e-12)
+            for name, _ in param_shapes(CFG):
+                g = sum(w * gs[name] for w, (_, gs) in zip(weights, items)) / sum(weights)
+                assert np.max(np.abs(grads[name] - g)) <= 1e-10 * np.max(np.abs(g))
+
+    def test_padding_leaves_real_rows_unchanged_with_zero_gate_fallback(self):
+        rng = np.random.default_rng(11)
+        batch = _ragged_batch(rng)
+        params = init_params(CFG, seed=11)
+        # the image with the fewest regions is padded; zero geometry makes
+        # every one of its gates zero, so its attention falls back to a
+        # plain softmax, which must still ignore the padded regions
+        k = min(range(len(batch)), key=lambda j: len(batch[j][0]))
+        packed = pack_batch(batch, CFG)
+        assert packed.region_mask is not None
+        packed.geometry[k] = 0.0
+        logits, targets = target_logits(packed, params, CFG)
+        start = 0
+        for j, item in enumerate(batch):
+            single = pack_batch([item], CFG)
+            assert single.region_mask is None
+            if j == k:
+                gated, _ = target_logits(single, params, CFG)
+                single.geometry[...] = 0.0
+            want, want_targets = target_logits(single, params, CFG)
+            got = logits[start : start + len(want)]
+            assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(targets[start : start + len(want)], want_targets)
+            if j == k:
+                assert not np.allclose(got, gated)  # the fallback really acted
+            start += len(want)
+        assert start == len(logits)
+
+    def test_decoder_forward_is_the_one_item_case(self):
+        rng = np.random.default_rng(2)
+        batch = _ragged_batch(rng)
+        params = init_params(CFG, seed=2)
+        logits, _ = target_logits(batch, params, CFG)
+        start = 0
+        for regions, ids in batch:
+            q = encoder_forward(regions, params, CFG)
+            want = decoder_forward(q, frame_sequence(ids)[0], params, CFG)
+            assert_allclose(logits[start : start + len(want)], want,
+                            rtol=1e-12, atol=1e-12)
+            start += len(want)
+
+    def test_rejects_caption_longer_than_max_seq_len_with_item_index(self):
+        rng = np.random.default_rng(0)
+        batch = [(_random_regions(rng, 2), [3] * 4),
+                 (_random_regions(rng, 2), [3] * CFG.max_seq_len)]
+        with pytest.raises(ValueError, match="item 1"):
+            pack_batch(batch, CFG)
+
+
+class TestFlatParameters:
+    def test_init_and_load_give_views_of_one_vector(self, tmp_path):
+        params = init_params(CFG, seed=0)
+        flat, shared = flatten(params, CFG)
+        assert shared and flat.shape == (num_params(CFG),)
+        flat[0] = 42.0
+        assert params["appear.W"][0, 0] == 42.0
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, CFG)
+        loaded, _ = load_checkpoint(path)
+        loaded_flat, shared = flatten(loaded, CFG)
+        assert shared and np.array_equal(loaded_flat, flat)
+        assert loaded_flat.flags.writeable
+
+    def test_separate_copies_are_packed_not_shared(self):
+        params = {k: v.copy() for k, v in init_params(CFG, seed=0).items()}
+        flat, shared = flatten(params, CFG)
+        assert not shared
+        assert np.array_equal(flat, flatten(init_params(CFG, seed=0), CFG)[0])
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         params = init_params(CFG, seed=3)
@@ -396,3 +500,30 @@ class TestCheckpoint:
         path.write_bytes(b"\x01")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def _edit_header(path, edit):
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[:4])
+    header = json.loads(raw[4 : 4 + n])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + n :])
+
+
+HEADER_EDITS = {
+    "missing config": lambda h: h.pop("config"),
+    "unknown config key": lambda h: h["config"].update(dropout=0),
+    "string d_model": lambda h: h["config"].update(d_model="8"),
+    "unknown version": lambda h: h.update(version=2),
+    "tensor table": lambda h: h["tensors"].pop(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_EDITS))
+def test_load_checkpoint_validates_header(tmp_path, case):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(CFG, seed=0), CFG)
+    _edit_header(path, HEADER_EDITS[case])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
