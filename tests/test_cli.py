@@ -8,9 +8,9 @@ byte-identical up to manifest timestamps.
 import io
 import json
 import logging
-import struct
 from pathlib import Path
 
+import conftest
 import pytest
 
 from subicap.baselines import load_word_vocab
@@ -359,15 +359,6 @@ class TestTrainLmChecks:
         assert steps[0].startswith("step=0 ") and steps[-1].startswith("step=249 ")
 
 
-def _edit_header(path, edit):
-    raw = path.read_bytes()
-    (n,) = struct.unpack("<I", raw[:4])
-    header = json.loads(raw[4 : 4 + n])
-    edit(header)
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + n :])
-
-
 @pytest.mark.parametrize("edit", [
     lambda h: h.pop("config"),
     lambda h: h["config"].update(dropout=0),
@@ -377,7 +368,7 @@ def test_generate_rejects_malformed_checkpoint_header(checkpoint, vocab_file,
                                                       tmp_path, capsys, edit):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(checkpoint.read_bytes())
-    _edit_header(bad, edit)
+    conftest.edit_checkpoint_header(bad, edit)
     rc = main(["generate", "--checkpoint", str(bad), "--tokenizer", str(vocab_file),
                "--out", str(tmp_path / "gen.txt")])
     assert rc == 2

@@ -5,10 +5,9 @@ uses explicit per-row, per-head Python loops instead of batched matmuls.
 Both run in float64, so they must agree to near machine precision.
 """
 
-import json
 import math
-import struct
 
+import conftest
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -502,15 +501,6 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
-def _edit_header(path, edit):
-    raw = path.read_bytes()
-    (n,) = struct.unpack("<I", raw[:4])
-    header = json.loads(raw[4 : 4 + n])
-    edit(header)
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + n :])
-
-
 HEADER_EDITS = {
     "missing config": lambda h: h.pop("config"),
     "unknown config key": lambda h: h["config"].update(dropout=0),
@@ -524,6 +514,6 @@ HEADER_EDITS = {
 def test_load_checkpoint_validates_header(tmp_path, case):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, init_params(CFG, seed=0), CFG)
-    _edit_header(path, HEADER_EDITS[case])
+    conftest.edit_checkpoint_header(path, HEADER_EDITS[case])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
