@@ -30,12 +30,11 @@ vocabulary file convention: 0=<pad>, 1=<bos>, 2=<eos>, pieces from 3.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -602,7 +601,7 @@ def loss_only(batch: Batch | PackedBatch, params, cfg: ModelConfig) -> float:
 
 _CKPT_FORMAT = "subicap-checkpoint"
 _CKPT_VERSION = 1
-_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ModelConfig))
+_CONFIG_FIELDS = frozenset(f.name for f in fields(ModelConfig))
 
 
 def _tensor_table(cfg: ModelConfig) -> list[dict]:
