@@ -53,7 +53,6 @@ from .unigram import (
     mark_continuations,
     prune_vocab,
     save_vocab,
-    sequence_logprob,
     train_unigram,
     viterbi_segment,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "save_bpe",
     "save_vocab",
     "save_word_vocab",
-    "sequence_logprob",
     "train_bpe",
     "train_unigram",
     "train_word_vocab",

@@ -73,22 +73,14 @@ def measure_tokenizer(corpus: Corpus, vocab: SubwordVocab,
     )
 
 
-def vocab_sweep(
-    corpus: Corpus,
-    sizes: Sequence[int],
-    base_config: TrainerConfig | None = None,
-) -> SweepReport:
+def vocab_sweep(corpus: Corpus, sizes: Sequence[int]) -> SweepReport:
     """Train one unigram vocabulary per requested size and measure each.
     Sizes are processed in ascending order."""
     if not sizes:
         raise ValueError("need at least one vocabulary size")
     entries = []
     for k in sorted(sizes):
-        if base_config is None:
-            cfg = TrainerConfig(target_vocab_size=k)
-        else:
-            cfg = dataclasses.replace(base_config, target_vocab_size=k)
-        vocab = train_unigram(corpus, cfg)
+        vocab = train_unigram(corpus, TrainerConfig(target_vocab_size=k))
         entries.append(measure_tokenizer(corpus, vocab, k))
     return SweepReport(num_captions=len(corpus.captions), entries=tuple(entries))
 
@@ -139,17 +131,14 @@ class ParamCount:
     total_params: int
 
 
-def param_count(vocab_size: int, cfg: ModelConfig | None = None, **dims) -> ParamCount:
+def param_count(vocab_size: int, **dims) -> ParamCount:
     """Analytic tensor-size sum for a model configuration.
 
     The embedding and output head are the only tensors that scale with the
     vocabulary, so two counts at the same dims differ by exactly
     2 * (v1 - v2) * d_model.
     """
-    if cfg is None:
-        cfg = ModelConfig(vocab_size=vocab_size, **dims)
-    else:
-        cfg = dataclasses.replace(cfg, vocab_size=vocab_size, **dims)
+    cfg = ModelConfig(vocab_size=vocab_size, **dims)
     embedding = output = core = 0
     for name, shape in param_shapes(cfg):
         size = 1

@@ -332,17 +332,21 @@ def cmd_generate(args) -> int:
             f"was trained with {cfg.vocab_size}"
         )
     max_len = r["max_len"] if r["max_len"] is not None else cfg.max_seq_len - 1
+    if not 1 <= max_len <= cfg.max_seq_len - 1:
+        raise CliUsageError(f"--max-len must be in 1..{cfg.max_seq_len - 1} for "
+                            f"this checkpoint (max_seq_len {cfg.max_seq_len}), "
+                            f"got {max_len}")
+    # a caption never opens with a continuation piece
+    first_banned = np.array([unigram.is_continuation(vocab.piece_of_token(t))
+                             for t in range(vocab.num_tokens)])
     scenes = synthetic.synthetic_regions(r["seed"], r["images"], d_in=cfg.d_in)
     lines = []
     for scene in scenes:
         hyp = decoding.caption_regions(scene.regions, params, cfg,
-                                       beam=r["beam"], max_len=max_len)
-        pieces = [vocab.piece_of_token(t) for t in hyp.token_ids]
-        # An undertrained model can open with a continuation piece; promote
-        # it to a word start so every image still yields a caption line.
-        if pieces and unigram.is_continuation(pieces[0]):
-            pieces[0] = unigram.piece_content(pieces[0])
-        lines.append(unigram.detokenize(pieces))
+                                       beam=r["beam"], max_len=max_len,
+                                       first_banned=first_banned)
+        lines.append(unigram.detokenize(
+            [vocab.piece_of_token(t) for t in hyp.token_ids]))
     _write_lines(lines, str(out))
     log.info("generated %d captions (beam=%d) -> %s", len(lines), r["beam"], out)
     _write_manifest(out, "generate", r,

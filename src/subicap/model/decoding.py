@@ -7,17 +7,26 @@ probability divided by the number of generated tokens (<eos> included when
 emitted); ties break toward the lexicographically smaller id sequence.
 Beam width 1 reproduces greedy decoding exactly: at every step the single
 kept candidate is the argmax extension, with the same first-index tie rule.
+A candidate scored -inf is never kept, so the caption model's masked tokens
+never enter a hypothesis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .geometry import RegionSet
-from .transformer import BOS_ID, EOS_ID, ModelConfig, decoder_forward, encoder_forward
+from .transformer import (
+    BOS_ID,
+    EOS_ID,
+    PAD_ID,
+    ModelConfig,
+    decoder_forward,
+    encoder_forward,
+)
 
 StepFn = Callable[[tuple[int, ...]], np.ndarray]
 
@@ -45,13 +54,24 @@ def _log_probs(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum())
 
 
-def model_step_fn(q: np.ndarray, params, cfg: ModelConfig) -> StepFn:
+def model_step_fn(q: np.ndarray, params, cfg: ModelConfig,
+                  first_banned: np.ndarray | None = None) -> StepFn:
     """Next-token scorer over the encoded regions q. The decoder is rerun
-    per prefix; at desk scale that costs nothing."""
+    per prefix; at desk scale that costs nothing.
+
+    <pad> and <bos> score -inf, and so do the ids where the bool mask
+    first_banned is True when they would open the caption. The other
+    entries keep the model's log-softmax, not renormalized, so a
+    hypothesis's logprob is the model's probability of its tokens.
+    """
 
     def step(prefix: tuple[int, ...]) -> np.ndarray:
         logits = decoder_forward(q, prefix, params, cfg)
-        return _log_probs(logits[-1])
+        logp = _log_probs(logits[-1])
+        logp[PAD_ID] = logp[BOS_ID] = -np.inf
+        if first_banned is not None and len(prefix) == 1:
+            logp[first_banned] = -np.inf
+        return logp
 
     return step
 
@@ -95,6 +115,8 @@ def beam_step_decode(step_fn: StepFn, beam: int, max_len: int) -> Hypothesis:
         candidates.sort(key=lambda c: (-c[0], c[1]))
         live = []
         for score, seq in candidates[: beam]:
+            if score == -np.inf:
+                break
             if seq[-1] == EOS_ID:
                 finished.append(Hypothesis(seq[1:-1], score, finished=True))
             else:
@@ -123,10 +145,13 @@ def caption_regions(
     cfg: ModelConfig,
     beam: int = 1,
     max_len: int | None = None,
+    first_banned: np.ndarray | None = None,
 ) -> Hypothesis:
-    """Encode one image's regions and decode a caption hypothesis."""
+    """Encode one image's regions and decode a caption hypothesis; see
+    model_step_fn for first_banned."""
     max_len = max_len if max_len is not None else cfg.max_seq_len
-    q = encoder_forward(regions, params, cfg)
+    step = model_step_fn(encoder_forward(regions, params, cfg), params, cfg,
+                         first_banned)
     if beam == 1:
-        return greedy_decode(q, params, cfg, max_len)
-    return beam_search(q, params, cfg, beam, max_len)
+        return greedy_step_decode(step, max_len)
+    return beam_step_decode(step, beam, max_len)

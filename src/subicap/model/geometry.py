@@ -118,15 +118,6 @@ def positional_embed(lam: np.ndarray, dim: int) -> np.ndarray:
     return out.reshape(lam.shape[:-1] + (N_DISP_FEATURES * dim,))
 
 
-def geometric_weights(lam: np.ndarray, w_g: np.ndarray, dim: int) -> np.ndarray:
-    """ReLU-clamped projection of embedded displacements.
-
-    lam (..., 4), w_g (4*dim,) or (4*dim, H) -> (...) or (..., H).
-    """
-    emb = positional_embed(lam, dim)
-    return np.maximum(emb @ w_g, 0.0)
-
-
 def gated_softmax(scores: np.ndarray, gates: np.ndarray):
     """Geometry-gated attention weights along the last axis, unchecked.
 

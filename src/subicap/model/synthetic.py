@@ -15,10 +15,7 @@ identical datasets.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -100,55 +97,4 @@ def synthetic_regions(seed: int, n_images: int, d_in: int = 16) -> list[Scene]:
         )
         caption = f"a {CLASS_NAMES[c1]} is {rel} a {CLASS_NAMES[c2]}"
         scenes.append(Scene(f"synth{i:04d}", RegionSet(regions), caption))
-    return scenes
-
-
-def nearest_template_accuracy(scenes: Sequence[Scene], templates: np.ndarray) -> float:
-    """Fraction of regions whose appearance is closest to the template of
-    the class named for them in the caption."""
-    hits = 0
-    total = 0
-    for scene in scenes:
-        words = scene.caption.split()
-        named = [words[1], words[-1]]  # "a X is ... a Y"
-        for region, cls_name in zip(scene.regions.regions, named):
-            d = np.linalg.norm(templates - region.appearance, axis=1)
-            hits += CLASS_NAMES[int(np.argmin(d))] == cls_name
-            total += 1
-    return hits / total
-
-
-def save_scenes(scenes: Sequence[Scene], caption_path: str | Path,
-                region_path: str | Path) -> None:
-    """Captions in corpus line format; boxes/appearance in a JSON sidecar."""
-    lines = [f"{s.image_id}\t{s.caption}" for s in scenes]
-    Path(caption_path).write_text("\n".join(lines) + "\n", encoding="utf-8",
-                                  newline="\n")
-    sidecar = {
-        s.image_id: {
-            "boxes": s.regions.boxes.tolist(),
-            "appearance": s.regions.appearance.tolist(),
-        }
-        for s in scenes
-    }
-    Path(region_path).write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8",
-        newline="\n",
-    )
-
-
-def load_scenes(caption_path: str | Path, region_path: str | Path) -> list[Scene]:
-    sidecar = json.loads(Path(region_path).read_text(encoding="utf-8"))
-    scenes: list[Scene] = []
-    for line in Path(caption_path).read_text(encoding="utf-8").splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        image_id, caption = line.split("\t", 1)
-        entry = sidecar[image_id]
-        regions = [
-            Region(cx=box[0], cy=box[1], w=box[2], h=box[3],
-                   appearance=np.array(app))
-            for box, app in zip(entry["boxes"], entry["appearance"])
-        ]
-        scenes.append(Scene(image_id, RegionSet(regions), caption))
     return scenes

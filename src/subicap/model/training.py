@@ -20,18 +20,17 @@ from .transformer import (
     pack_batch,
     param_shapes,
     target_logits,
-    unflatten,
 )
 
 log = logging.getLogger("subicap.train")
+
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+_LOG_EVERY = 100
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     # step-schedule stand-in for per-epoch decay; 0 disables
     decay_factor: float = 0.8
     decay_every: int = 500
@@ -44,19 +43,16 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Step count and moments. `m` and `v` map each tensor name to a view
-    of `flat`, whose rows are the first moment, the second moment and the
-    update's scratch space."""
+    """Step count and moments. The rows of `flat` are the first moment, the
+    second moment and the update's scratch space, each in the flat
+    parameter vector's order."""
 
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
     flat: np.ndarray
 
     @classmethod
     def init(cls, cfg: ModelConfig) -> "AdamState":
-        flat = np.zeros((3, num_params(cfg)))
-        return cls(0, unflatten(flat[0], cfg), unflatten(flat[1], cfg), flat)
+        return cls(0, np.zeros((3, num_params(cfg))))
 
 
 def train_step(
@@ -66,35 +62,32 @@ def train_step(
     state: AdamState,
     train_cfg: TrainConfig,
 ) -> float:
-    """One Adam update of the caller's tensors, in place, as vector ops over
-    the flat parameter vector, so repeated runs are bitwise identical."""
+    """One Adam update, in place, as vector ops over the flat vector the
+    tensors are views of (see flatten), so repeated runs are bitwise
+    identical."""
     loss, grads = loss_and_grads(batch, params, cfg)
     if not math.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss {loss} at step {state.step}")
     lr = train_cfg.lr_at(state.step)
     state.step += 1
     t = state.step
-    b1, b2 = train_cfg.beta1, train_cfg.beta2
-    correction = math.sqrt(1.0 - b2**t) / (1.0 - b1**t)
-    g, _ = flatten(grads, cfg)
-    p, shared = flatten(params, cfg)
+    correction = math.sqrt(1.0 - _BETA2**t) / (1.0 - _BETA1**t)
+    g = flatten(grads, cfg)
+    p = flatten(params, cfg)
     m, v, tmp = state.flat
-    m *= b1
-    np.multiply(g, 1.0 - b1, out=tmp)
+    m *= _BETA1
+    np.multiply(g, 1.0 - _BETA1, out=tmp)
     m += tmp
-    v *= b2
-    np.multiply(g, 1.0 - b2, out=tmp)
+    v *= _BETA2
+    np.multiply(g, 1.0 - _BETA2, out=tmp)
     tmp *= g
     v += tmp
     # the gradient is spent: its vector holds the step
     np.multiply(m, lr * correction, out=g)
     np.sqrt(v, out=tmp)
-    tmp += train_cfg.eps
+    tmp += _EPS
     g /= tmp
     p -= g
-    if not shared:
-        for name, updated in unflatten(p, cfg).items():
-            params[name][...] = updated
     return loss
 
 
@@ -104,17 +97,17 @@ def fit(
     cfg: ModelConfig,
     train_cfg: TrainConfig,
     steps: int,
-    log_every: int = 100,
 ) -> list[float]:
-    """Full-batch training; returns the per-step loss history. The batch is
-    padded once, up front."""
+    """Full-batch training; returns the per-step loss history and logs the
+    loss every 100th step and at the last. The batch is padded once, up
+    front."""
     packed = pack_batch(batch, cfg)
     state = AdamState.init(cfg)
     history = []
     for step in range(steps):
         loss = train_step(packed, params, cfg, state, train_cfg)
         history.append(loss)
-        if log_every and (step % log_every == 0 or step == steps - 1):
+        if step % _LOG_EVERY == 0 or step == steps - 1:
             log.info("step=%d loss=%.6f", step, loss)
     return history
 

@@ -89,21 +89,6 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
 
-def paper_scale_config(vocab_size: int, max_seq_len: int = 20) -> ModelConfig:
-    """The full-size configuration the desk defaults are scaled down from."""
-    return ModelConfig(
-        vocab_size=vocab_size,
-        d_model=512,
-        n_enc_layers=6,
-        n_dec_layers=6,
-        n_heads=8,
-        d_ff=2048,
-        d_in=2048,
-        geo_embed_dim=64,
-        max_seq_len=max_seq_len,
-    )
-
-
 def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Every tensor, in the order checkpoints store them."""
     d, ff, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
@@ -170,26 +155,20 @@ def unflatten(flat: np.ndarray, cfg: ModelConfig) -> dict[str, np.ndarray]:
             for name, shape, start, stop in _layout(cfg)[0]}
 
 
-def flatten(tensors, cfg: ModelConfig) -> tuple[np.ndarray, bool]:
-    """All of `tensors` as one float64 vector in param_shapes order.
-
-    Returns (vector, shared). When the tensors are the views unflatten made
-    of one vector, that vector comes back with shared=True, so writing to it
-    writes to the tensors. Otherwise it is a packed copy and shared=False.
-    """
+def flatten(tensors, cfg: ModelConfig) -> np.ndarray:
+    """The one float64 vector whose views (as unflatten made them) are
+    `tensors`, as init_params, load_checkpoint and loss_and_grads return
+    them; writing to it writes to the tensors. Raises ValueError for any
+    other dict of tensors."""
     spans, size = _layout(cfg)
     flat = tensors[spans[0][0]].base
     if (isinstance(flat, np.ndarray) and flat.dtype == np.float64
             and flat.shape == (size,)
             and all(tensors[name].base is flat and tensors[name].shape == shape
                     for name, shape, _, _ in spans)):
-        return flat, True
-    for name, shape, _, _ in spans:
-        if np.shape(tensors[name]) != shape:
-            raise ValueError(f"tensor {name} has shape {np.shape(tensors[name])}, "
-                             f"expected {shape}")
-    return np.concatenate([np.asarray(tensors[name], dtype=np.float64).ravel()
-                           for name, _, _, _ in spans]), False
+        return flat
+    raise ValueError("tensors are not views of one flat float64 vector in "
+                     "param_shapes order")
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
@@ -359,7 +338,7 @@ def _encoder_fwd(appearance, geometry, mask, params, cfg: ModelConfig):
     x += params["appear.b"]
     pre = (geometry.reshape(-1, geometry.shape[-1]) @ params["geo.W_G"]).reshape(
         b, n, n, cfg.n_heads)
-    gates = np.maximum(pre, 0.0).transpose(0, 3, 1, 2)
+    gates = np.maximum(pre, 0.0).transpose(0, 3, 1, 2)  # (B, H, N, N)
     layers = []
     for i in range(cfg.n_enc_layers):
         att, c_att = _attn_fwd(x, x, b, params, f"enc{i}.attn", cfg.n_heads,
@@ -368,11 +347,11 @@ def _encoder_fwd(appearance, geometry, mask, params, cfg: ModelConfig):
         ff, c_ffn = _ffn_fwd(h1, params, f"enc{i}.ffn")
         x, c_ln2 = _ln_fwd(h1 + ff, params, f"enc{i}.ln2")
         layers.append((c_att, c_ln1, c_ffn, c_ln2))
-    return x, (appearance, geometry, pre, layers)
+    return x, (appearance, geometry, gates, layers)
 
 
 def _encoder_bwd(dx, cache, params, cfg: ModelConfig, grads):
-    appearance, geometry, pre, layers = cache
+    appearance, geometry, gates, layers = cache
     dgates = None
     for i in range(cfg.n_enc_layers - 1, -1, -1):
         c_att, c_ln1, c_ffn, c_ln2 = layers.pop()  # frees each layer once done
@@ -383,7 +362,7 @@ def _encoder_bwd(dx, cache, params, cfg: ModelConfig, grads):
         dx = dsum1 + dxq
         dx += dxkv
         dgates = dg if dgates is None else dgates + dg
-    dpre = dgates.transpose(0, 2, 3, 1) * (pre > 0.0)
+    dpre = (dgates * (gates > 0.0)).transpose(0, 2, 3, 1)
     np.matmul(geometry.reshape(-1, geometry.shape[-1]).T,
               dpre.reshape(-1, cfg.n_heads), out=grads["geo.W_G"])
     np.matmul(appearance.reshape(-1, appearance.shape[-1]).T, dx,
@@ -611,7 +590,7 @@ def _tensor_table(cfg: ModelConfig) -> list[dict]:
 
 def save_checkpoint(path: str | Path, params, cfg: ModelConfig) -> None:
     try:
-        flat, _ = flatten(params, cfg)
+        flat = flatten(params, cfg)
     except ValueError as err:
         raise CheckpointError(str(err)) from None
     header = {

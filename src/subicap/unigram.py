@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,6 +43,15 @@ PAD_ID, BOS_ID, EOS_ID = 0, 1, 2
 NUM_CONTROLS = 3
 
 NEG_INF = float("-inf")
+
+# training recipe: seed with 20x the target, pieces of at most 16 content
+# characters (the marker is free) seen at least twice; run 2 EM steps per
+# round and keep 75% of the multi-character pieces per shrink round
+MAX_PIECE_LENGTH = 16
+MIN_PIECE_COUNT = 2
+EM_SUBITERATIONS = 2
+SHRINK_FACTOR = 0.75
+
 # floor for zero expected counts, as a fraction of total mass; keeps scores
 # finite for pieces no lattice can use (for example the space character)
 # while perturbing the corpus likelihood far below test tolerances
@@ -85,27 +94,10 @@ class TokenSequence:
 @dataclass(frozen=True)
 class TrainerConfig:
     target_vocab_size: int
-    seed_size: int | None = None  # None: 20x target
-    max_piece_length: int = 16  # characters of content; the marker is free
-    em_subiterations: int = 2
-    shrink_factor: float = 0.75
-    min_piece_count: int = 2
 
     def __post_init__(self):
         if self.target_vocab_size < 1:
             raise ValueError("target_vocab_size must be >= 1")
-        if not (0.0 < self.shrink_factor < 1.0):
-            raise ValueError("shrink_factor must be in (0, 1)")
-        if self.max_piece_length < 1:
-            raise ValueError("max_piece_length must be >= 1")
-        if self.em_subiterations < 1:
-            raise ValueError("em_subiterations must be >= 1")
-        if self.min_piece_count < 1:
-            raise ValueError("min_piece_count must be >= 1")
-
-    @property
-    def resolved_seed_size(self) -> int:
-        return self.seed_size if self.seed_size is not None else 20 * self.target_vocab_size
 
 
 class SubwordVocab:
@@ -187,14 +179,6 @@ class Lattice:
     sentence: str
     spans: tuple[LatticeSpan, ...]
     by_end: tuple[tuple[int, ...], ...]  # span indices ending at position j
-
-    def has_full_path(self) -> bool:
-        n = len(self.sentence)
-        reach = [False] * (n + 1)
-        reach[0] = True
-        for j in range(1, n + 1):
-            reach[j] = any(reach[self.spans[k].start] for k in self.by_end[j])
-        return reach[n]
 
 
 def _span_piece(word: str, i: int, j: int) -> str | None:
@@ -330,41 +314,34 @@ def detokenize(tokens: TokenSequence | Iterable[str]) -> str:
     return " ".join(words)
 
 
-def sequence_logprob(tokens: TokenSequence | Iterable[str], vocab: SubwordVocab) -> float:
-    pieces = tokens.pieces if isinstance(tokens, TokenSequence) else tuple(tokens)
-    return sum(vocab.score(p) for p in pieces)
-
-
 # ---------------------------------------------------------------------------
 # training
 
 
-def _positional_substring_counts(
-    corpus: Corpus, max_piece_length: int
-) -> Counter[str]:
+def _positional_substring_counts(corpus: Corpus) -> Counter[str]:
     """Occurrence counts of every admissible piece form, weighted by word count."""
     counts: Counter[str] = Counter()
     for word, c in corpus.word_counts.items():
         n = len(word)
         for i in range(n):
-            for j in range(i + 1, min(i + max_piece_length, n) + 1):
+            for j in range(i + 1, min(i + MAX_PIECE_LENGTH, n) + 1):
                 key = _span_piece(word, i, j)
                 if key is not None:
                     counts[key] += c
     return counts
 
 
-def build_seed_vocab(corpus: Corpus, config: TrainerConfig) -> SubwordVocab:
+def build_seed_vocab(corpus: Corpus, seed_size: int) -> SubwordVocab:
     """Frequent-substring seed.
 
     Forced entries: the unmarked single for every inventory character, plus
     the marked single for every character observed word-internally. Multi
-    character candidates need count >= min_piece_count and are ranked by
-    (count desc, piece asc); the top resolved_seed_size survive.
+    character candidates need count >= MIN_PIECE_COUNT and are ranked by
+    (count desc, piece asc); the top seed_size survive.
     """
     if not corpus.captions or not corpus.word_counts:
         raise ValueError("cannot seed a vocabulary from an empty corpus")
-    counts = _positional_substring_counts(corpus, config.max_piece_length)
+    counts = _positional_substring_counts(corpus)
     forced: list[str] = sorted(corpus.char_inventory - {" "}) + (
         [" "] if " " in corpus.char_inventory else []
     )
@@ -380,10 +357,10 @@ def build_seed_vocab(corpus: Corpus, config: TrainerConfig) -> SubwordVocab:
         for piece, c in counts.items()
         if piece not in single_set
         and len(piece_content(piece)) >= 2
-        and c >= config.min_piece_count
+        and c >= MIN_PIECE_COUNT
     ]
     multi.sort(key=lambda item: (-item[1], item[0]))
-    chosen = singles + multi[: config.resolved_seed_size]
+    chosen = singles + multi[:seed_size]
     total = sum(c for _, c in chosen)
     scored = [(piece, math.log(c / total)) for piece, c in chosen]
     scored.sort(key=lambda item: (-item[1], item[0]))
@@ -472,30 +449,19 @@ def em_step(corpus: Corpus, vocab: SubwordVocab) -> tuple[SubwordVocab, float]:
     return SubwordVocab(new_entries), log_likelihood
 
 
-def prune_vocab(
-    corpus: Corpus,
-    vocab: SubwordVocab,
-    keep_fraction: float,
-    *,
-    keep_exact: int | None = None,
-) -> SubwordVocab:
+def prune_vocab(corpus: Corpus, vocab: SubwordVocab, keep: int) -> SubwordVocab:
     """Drop the multi-character pieces whose removal costs the least.
 
     Cost of a piece is the exact drop in Viterbi corpus likelihood when only
     that piece is removed (words whose best path avoids it contribute zero,
     so unused pieces are removed first). Single-character coverage pieces are
-    never candidates. Keeps int(n_multi * keep_fraction) pieces, or exactly
-    keep_exact when given; survivor scores are renormalized to the simplex.
+    never candidates. Keeps `keep` of the others (all of them if there are
+    fewer); survivor scores are renormalized to the simplex.
     """
-    if keep_exact is None and not (0.0 < keep_fraction <= 1.0):
-        raise ValueError("keep_fraction must be in (0, 1]")
     protected = vocab.required_chars
     multi_ids = [
         i for i, (p, _) in enumerate(vocab.entries) if p not in protected
     ]
-    n_multi = len(multi_ids)
-    keep_n = keep_exact if keep_exact is not None else int(n_multi * keep_fraction)
-    keep_n = max(0, min(keep_n, n_multi))
 
     base_scores: dict[str, float] = {}
     usage: dict[int, list[str]] = {}
@@ -522,7 +488,7 @@ def prune_vocab(
             loss += word_counts[word] * (base_scores[word] - without)
         losses.append((-loss, -use_count[pid], piece))
     losses.sort()
-    kept_pieces = {piece for _, _, piece in losses[:keep_n]}
+    kept_pieces = {piece for _, _, piece in losses[:max(keep, 0)]}
 
     survivors = [
         (p, s) for p, s in vocab.entries if p in protected or p in kept_pieces
@@ -541,9 +507,9 @@ def train_unigram(corpus: Corpus, config: TrainerConfig) -> SubwordVocab:
     corpus whose substring inventory is smaller than the target yields a
     smaller vocabulary; pieces cannot be invented.
     """
-    vocab = build_seed_vocab(corpus, config)
-    n_protected = len(vocab.required_chars)
     target = config.target_vocab_size
+    vocab = build_seed_vocab(corpus, 20 * target)
+    n_protected = len(vocab.required_chars)
     if target < n_protected + 1:
         raise ValueError(
             f"target_vocab_size {target} is below the coverage floor "
@@ -551,20 +517,18 @@ def train_unigram(corpus: Corpus, config: TrainerConfig) -> SubwordVocab:
         )
 
     while vocab.size > 1.1 * target:
-        for _ in range(config.em_subiterations):
+        for _ in range(EM_SUBITERATIONS):
             vocab, _ = em_step(corpus, vocab)
         n_multi = vocab.size - n_protected
-        keep = max(int(n_multi * config.shrink_factor), target - n_protected)
+        keep = max(int(n_multi * SHRINK_FACTOR), target - n_protected)
         if keep >= n_multi:
             break
-        vocab = prune_vocab(corpus, vocab, config.shrink_factor, keep_exact=keep)
-    for _ in range(config.em_subiterations):
+        vocab = prune_vocab(corpus, vocab, keep)
+    for _ in range(EM_SUBITERATIONS):
         vocab, _ = em_step(corpus, vocab)
     if vocab.size > target:
-        vocab = prune_vocab(
-            corpus, vocab, config.shrink_factor, keep_exact=target - n_protected
-        )
-        for _ in range(config.em_subiterations):
+        vocab = prune_vocab(corpus, vocab, target - n_protected)
+        for _ in range(EM_SUBITERATIONS):
             vocab, _ = em_step(corpus, vocab)
     ordered = sorted(vocab.entries, key=lambda e: (-e[1], e[0]))
     return SubwordVocab(ordered)
@@ -581,7 +545,10 @@ def save_vocab(vocab: SubwordVocab, path: str | Path) -> None:
 
 
 def load_vocab(path: str | Path) -> SubwordVocab:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise VocabFormatError(f"{path}: not UTF-8 text: {err}") from None
     lines = text.splitlines()
     if len(lines) < NUM_CONTROLS:
         raise VocabFormatError(f"{path}: fewer than {NUM_CONTROLS} lines")

@@ -27,7 +27,7 @@ from subicap.model.decoding import (
     greedy_decode,
     greedy_step_decode,
 )
-from subicap.model.geometry import Region, RegionSet, fused_attention, geometric_weights
+from subicap.model.geometry import Region, RegionSet, fused_attention
 from subicap.model.transformer import (
     EOS_ID,
     ModelConfig,
@@ -97,7 +97,7 @@ def memorized_model():
     training.fit(batch, params, cfg,
                  training.TrainConfig(lr=3e-3, decay_every=500,
                                       decay_factor=0.8),
-                 steps=2000, log_every=0)
+                 steps=2000)
     elapsed = time.monotonic() - started
     return scenes, vocab, batch, cfg, params, elapsed
 
@@ -199,7 +199,7 @@ def test_02_segmenter_matches_enumeration():
 def test_03_em_monotonic(desk_corpus):
     started = time.monotonic()
     assert len(desk_corpus.captions) >= 1000
-    vocab = build_seed_vocab(desk_corpus, TrainerConfig(target_vocab_size=1000))
+    vocab = build_seed_vocab(desk_corpus, 20 * 1000)
     lls = []
     for _ in range(15):
         vocab, ll = em_step(desk_corpus, vocab)
@@ -267,9 +267,28 @@ def test_07_attention_invariants():
             np.testing.assert_allclose(weights, e / e.sum(-1, keepdims=True),
                                        atol=1e-9)
 
-        lam = rng.normal(size=(n_q, n_k, 4))
-        w_g = rng.normal(size=(4 * 16,))
-        assert geometric_weights(lam, w_g, dim=16).min() >= 0.0
+    # the encoder's own gates and attention weights on padded batches: a
+    # geo.W_G of both signs, then an all-negative one over nonnegative
+    # geometry, which zeroes every gate and forces the fallback rows
+    cfg = ModelConfig(vocab_size=50, max_seq_len=12, **DESK)
+    params = init_params(cfg, seed=5)
+    w_g = params["geo.W_G"]
+    assert (w_g > 0).any() and (w_g < 0).any()
+    for case in range(21):
+        packed = transformer.pack_batch(_desk_batch(rng, cfg, n_items=3), cfg)
+        geometry = packed.geometry
+        if case == 20:
+            w_g[...] = -np.abs(w_g)
+            geometry = np.abs(geometry)
+        _, (_, _, gates, layers) = transformer._encoder_fwd(
+            packed.appearance, geometry, packed.region_mask, params, cfg)
+        assert gates.min() >= 0.0
+        for c_att, *_ in layers:
+            # _attn_fwd's cache: (xq, xkv, qh, kh, vh, p, ctx, scale, gating)
+            weights, (_, _, fallback) = c_att[5], c_att[8]
+            assert weights.min() >= 0.0
+            np.testing.assert_allclose(weights.sum(-1), 1.0, atol=1e-12)
+            assert fallback.all() == (case == 20)
 
 
 def _desk_batch(rng, cfg, n_items=2):

@@ -20,7 +20,7 @@ from subicap.analysis import (
 )
 from subicap.corpus import Corpus
 from subicap.model.transformer import ModelConfig, num_params
-from subicap.unigram import SubwordVocab, TrainerConfig
+from subicap.unigram import SubwordVocab
 
 PAPER_DIMS = dict(d_model=512, n_enc_layers=6, n_dec_layers=6, n_heads=8,
                   d_ff=2048, d_in=2048, geo_embed_dim=64, max_seq_len=20)
@@ -76,8 +76,7 @@ class TestMeasureTokenizer:
 
 class TestVocabSweep:
     def test_entries_come_back_in_ascending_size(self, stems_corpus):
-        report = vocab_sweep(stems_corpus, [60, 40],
-                             TrainerConfig(target_vocab_size=40))
+        report = vocab_sweep(stems_corpus, [60, 40])
         assert [e.requested_size for e in report.entries] == [40, 60]
         assert report.num_captions == len(stems_corpus.captions)
 
@@ -124,10 +123,10 @@ class TestUniquenessReport:
 class TestParamCount:
     def test_matches_tensor_shape_sum(self):
         for v in (12, 40, 97):
-            cfg = ModelConfig(vocab_size=v, d_model=16, n_enc_layers=2,
-                              n_dec_layers=3, n_heads=4, d_ff=32, d_in=7,
-                              geo_embed_dim=6, max_seq_len=12)
-            pc = param_count(v, cfg)
+            dims = dict(d_model=16, n_enc_layers=2, n_dec_layers=3, n_heads=4,
+                        d_ff=32, d_in=7, geo_embed_dim=6, max_seq_len=12)
+            cfg = ModelConfig(vocab_size=v, **dims)
+            pc = param_count(v, **dims)
             assert pc.total_params == num_params(cfg)
             assert pc.total_params == (pc.embedding_params + pc.output_params
                                        + pc.core_params)

@@ -285,9 +285,9 @@ class TestModelCommands:
         assert _manifest(out)["arguments"]["beam"] == 2
 
     def test_undertrained_model_still_captions_every_image(self, tmp_path):
-        # Five optimizer steps are nowhere near convergence, so beam search
-        # is free to open a caption with a continuation piece.  generate must
-        # promote it to a word start and emit one line per image regardless.
+        # Five optimizer steps are nowhere near convergence, so the model
+        # prefers to open a caption with a continuation piece.  generate must
+        # bar it from the first position and emit one line per image.
         vocab_path = tmp_path / "v.tsv"
         ckpt = tmp_path / "m.ckpt"
         out = tmp_path / "caps.txt"
@@ -312,6 +312,19 @@ class TestModelCommands:
                      "--images", "2", "--beam", "2"]) == 0
         assert len(out.read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("max_len,beam", [("40", "1"), ("0", "1"), ("0", "2")])
+    def test_generate_rejects_max_len_out_of_range(self, checkpoint, vocab_file,
+                                                   tmp_path, capsys, max_len, beam):
+        out = tmp_path / "gen.txt"
+        rc = main(["generate", "--checkpoint", str(checkpoint),
+                   "--tokenizer", str(vocab_file), "--out", str(out),
+                   "--images", "2", "--beam", beam, "--max-len", max_len])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("subicap: error:") and len(err.splitlines()) == 1
+        assert "--max-len" in err and "1..23" in err  # trained at --max-len 24
+        assert not out.exists()
+
     def test_tokenizer_checkpoint_mismatch(self, checkpoint, corpus_file,
                                            tmp_path, capsys):
         other = tmp_path / "other.tsv"
@@ -322,6 +335,31 @@ class TestModelCommands:
                    "--tokenizer", str(other), "--out", str(tmp_path / "g")])
         assert rc == 2
         assert "token ids" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def one_step_model(tmp_path_factory):
+    """The desk tokenizer at k=300 and a caption model after one step, seed 7:
+    untrained enough to put <bos> and continuation pieces first."""
+    d = tmp_path_factory.mktemp("seed7")
+    assert main(["train-tokenizer", "--corpus", str(bundled_corpus_path()),
+                 "--vocab-size", "300", "--out", str(d / "v.tsv")]) == 0
+    assert main(["train-lm", "--tokenizer", str(d / "v.tsv"), "--out",
+                 str(d / "m.ckpt"), "--steps", "1", "--seed", "7"]) == 0
+    return d / "v.tsv", d / "m.ckpt"
+
+
+@pytest.mark.parametrize("beam", ["1", "2", "4"])
+def test_generated_captions_hold_no_control_tokens(one_step_model, tmp_path, beam):
+    # A caption that opened mid-word would fail detokenization: exit 2.
+    vocab, ckpt = one_step_model
+    out = tmp_path / "gen.txt"
+    assert main(["generate", "--checkpoint", str(ckpt), "--tokenizer", str(vocab),
+                 "--out", str(out), "--seed", "7", "--images", "20",
+                 "--beam", beam]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 20
+    assert not [line for line in lines if "<bos>" in line or "<pad>" in line]
 
 
 class TestTrainLmChecks:

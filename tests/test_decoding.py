@@ -21,8 +21,11 @@ from subicap.model.decoding import (
 )
 from subicap.model.geometry import Region, RegionSet
 from subicap.model.transformer import (
+    BOS_ID,
     EOS_ID,
+    PAD_ID,
     ModelConfig,
+    decoder_forward,
     encoder_forward,
     init_params,
 )
@@ -208,15 +211,82 @@ class TestBeamValidation:
             beam_step_decode(step, beam=2, max_len=0)
 
 
+def _log_softmax(logits):
+    z = logits - logits.max()
+    return z - math.log(np.exp(z).sum())
+
+
 class TestModelStepFn:
     def test_returns_normalized_log_probs(self):
+        """The model's log-softmax over every id, with <pad> and <bos>
+        masked to -inf afterwards, not renormalized."""
         rng = np.random.default_rng(2)
         params = init_params(CFG, seed=2)
         q = encoder_forward(_random_regions(rng), params, CFG)
         step = model_step_fn(q, params, CFG)
         logp = step((1, 5, 6))
+        want = _log_softmax(decoder_forward(q, (1, 5, 6), params, CFG)[-1])
         assert logp.shape == (CFG.vocab_size,)
-        assert np.exp(logp).sum() == pytest.approx(1.0)
+        assert np.exp(want).sum() == pytest.approx(1.0)
+        assert logp[PAD_ID] == logp[BOS_ID] == -np.inf
+        assert np.array_equal(logp[EOS_ID:], want[EOS_ID:])
+
+    def test_first_banned_masks_the_first_position_only(self):
+        rng = np.random.default_rng(3)
+        params = init_params(CFG, seed=3)
+        q = encoder_forward(_random_regions(rng), params, CFG)
+        banned = np.zeros(CFG.vocab_size, dtype=bool)
+        banned[[4, 6]] = True
+        plain = model_step_fn(q, params, CFG)
+        masked = model_step_fn(q, params, CFG, banned)
+        first = masked((BOS_ID,))
+        assert np.all(first[banned] == -np.inf)
+        keep = ~banned
+        assert np.array_equal(first[keep], plain((BOS_ID,))[keep])
+        assert np.array_equal(masked((BOS_ID, 4)), plain((BOS_ID, 4)))
+
+
+class TestMaskedDecoding:
+    def test_never_emits_a_masked_token(self):
+        """Random models at every width, with every id but <eos> and one
+        piece barred from opening the caption: captions hold no control
+        token, open with the allowed piece or are empty, and score as the
+        model's unmasked log-probs of their tokens."""
+        banned = np.ones(CFG.vocab_size, dtype=bool)
+        banned[[EOS_ID, 5]] = False
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            params = init_params(CFG, seed=seed)
+            regions = _random_regions(rng)
+            q = encoder_forward(regions, params, CFG)
+            for beam in (1, 2, 4, 20):
+                hyp = caption_regions(regions, params, CFG, beam=beam,
+                                      max_len=5, first_banned=banned)
+                assert not {PAD_ID, BOS_ID} & set(hyp.token_ids)
+                assert hyp.token_ids[:1] in ((), (5,))
+                ids = (BOS_ID,) + hyp.token_ids
+                targets = hyp.token_ids + ((EOS_ID,) if hyp.finished else ())
+                logp = np.array([_log_softmax(row) for row in
+                                 decoder_forward(q, ids, params, CFG)])
+                assert hyp.logprob == pytest.approx(
+                    sum(logp[t, tok] for t, tok in enumerate(targets)), abs=1e-9)
+
+    def test_beam_wider_than_the_allowed_candidates_keeps_none_masked(self):
+        """A -inf candidate never takes a beam slot, so no prefix holding a
+        masked token is ever extended."""
+        table = {(1,): {3: 0.5, 4: 0.5}, (1, 3): {2: 0.5, 4: 0.5},
+                 (1, 4): {2: 0.5, 3: 0.5}}
+        seen = []
+
+        def step(prefix):
+            seen.append(prefix)
+            out = _table_step_fn(table, 5)(prefix)
+            out[[0, 1]] = -np.inf
+            return out
+
+        hyp = beam_step_decode(step, beam=5, max_len=3)
+        assert math.isfinite(hyp.logprob)
+        assert not any({0, 1} & set(prefix[1:]) for prefix in seen)
 
 
 class TestCaptionRegions:

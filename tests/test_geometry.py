@@ -14,9 +14,9 @@ from subicap.model.geometry import (
     displacement,
     displacement_matrix,
     fused_attention,
-    geometric_weights,
     positional_embed,
 )
+from subicap.model.transformer import ModelConfig, _encoder_fwd, init_params
 
 
 def _region(cx, cy, w, h, dim=4, seed=0):
@@ -125,30 +125,44 @@ class TestPositionalEmbed:
         assert np.all(np.abs(out) <= 1.0 + 1e-12)
 
 
+def _encoder_gates(lam, w_g):
+    """The caption encoder's gates, (H, N, N), for displacements lam
+    (N, N, 4) projected through a geo.W_G of shape (4 * dim, H)."""
+    dim, n_heads = w_g.shape[0] // 4, w_g.shape[1]
+    cfg = ModelConfig(vocab_size=4, d_model=2 * n_heads, n_heads=n_heads,
+                      d_in=1, geo_embed_dim=dim)
+    params = init_params(cfg)
+    params["geo.W_G"][...] = w_g
+    appearance = np.zeros((1, lam.shape[0], 1))
+    _, (_, _, gates, _) = _encoder_fwd(appearance, positional_embed(lam, dim)[None],
+                                       None, params, cfg)
+    return gates[0]
+
+
 class TestGeometricWeights:
     def test_zero_projection_gives_zero_gates(self):
         lam = np.random.default_rng(1).normal(size=(6, 6, 4))
-        gates = geometric_weights(lam, np.zeros(4 * 8), dim=8)
-        assert gates.shape == (6, 6)
+        gates = _encoder_gates(lam, np.zeros((4 * 8, 1)))
+        assert gates.shape == (1, 6, 6)
         assert np.all(gates == 0.0)
 
     def test_relu_clamps_negative(self):
-        lam = np.zeros((2, 4))  # embeds to (0,1,0,1,...)
-        w = np.zeros(4 * 4)
+        lam = np.zeros((2, 2, 4))  # embeds to (0,1,0,1,...)
+        w = np.zeros((4 * 4, 1))
         w[1] = -3.0  # hits a cosine slot, so the projection is -3
-        gates = geometric_weights(lam, w, dim=4)
+        gates = _encoder_gates(lam, w)
         assert np.all(gates == 0.0)
 
     def test_positive_projection_passes_through(self):
-        lam = np.zeros((2, 4))
-        w = np.zeros(4 * 4)
+        lam = np.zeros((2, 2, 4))
+        w = np.zeros((4 * 4, 1))
         w[1] = 2.0
-        assert_allclose(geometric_weights(lam, w, dim=4), 2.0)
+        assert_allclose(_encoder_gates(lam, w), 2.0)
 
     def test_per_head_output_shape(self):
         lam = np.random.default_rng(3).normal(size=(5, 5, 4))
         w = np.random.default_rng(4).normal(size=(4 * 8, 3))
-        assert geometric_weights(lam, w, dim=8).shape == (5, 5, 3)
+        assert _encoder_gates(lam, w).shape == (3, 5, 5)
 
 
 class TestFusedAttention:

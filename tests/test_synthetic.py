@@ -2,18 +2,26 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from subicap.model.synthetic import (
     CLASS_NAMES,
     GRAMMAR_WORDS,
     RELATIONS,
     class_templates,
-    load_scenes,
-    nearest_template_accuracy,
-    save_scenes,
     synthetic_regions,
 )
+
+
+def nearest_template_accuracy(scenes, templates):
+    """Fraction of regions whose appearance is closest to the template of
+    the class named for them in the caption "a X is ... a Y"."""
+    hits = []
+    for scene in scenes:
+        words = scene.caption.split()
+        for region, name in zip(scene.regions.regions, (words[1], words[-1])):
+            d = np.linalg.norm(templates - region.appearance, axis=1)
+            hits.append(CLASS_NAMES[int(np.argmin(d))] == name)
+    return sum(hits) / len(hits)
 
 
 class TestClassTemplates:
@@ -114,36 +122,3 @@ class TestNearestTemplateProbe:
         scenes = synthetic_regions(seed=6, n_images=50)
         templates = class_templates(16, seed=6)[::-1]
         assert nearest_template_accuracy(scenes, templates) < 0.5
-
-
-class TestSceneSerialization:
-    def test_roundtrip(self, tmp_path):
-        scenes = synthetic_regions(seed=9, n_images=8)
-        cap = tmp_path / "scenes.txt"
-        reg = tmp_path / "scenes.json"
-        save_scenes(scenes, cap, reg)
-        back = load_scenes(cap, reg)
-        assert len(back) == len(scenes)
-        for s, t in zip(scenes, back):
-            assert t.image_id == s.image_id
-            assert t.caption == s.caption
-            assert_allclose(t.regions.boxes, s.regions.boxes)
-            assert_allclose(t.regions.appearance, s.regions.appearance)
-
-    def test_caption_file_is_corpus_format(self, tmp_path):
-        scenes = synthetic_regions(seed=9, n_images=3)
-        cap = tmp_path / "scenes.txt"
-        save_scenes(scenes, cap, tmp_path / "scenes.json")
-        lines = cap.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 3
-        for line, scene in zip(lines, scenes):
-            image_id, caption = line.split("\t", 1)
-            assert image_id == scene.image_id
-            assert caption == scene.caption
-
-    def test_save_is_deterministic(self, tmp_path):
-        scenes = synthetic_regions(seed=10, n_images=4)
-        save_scenes(scenes, tmp_path / "a.txt", tmp_path / "a.json")
-        save_scenes(scenes, tmp_path / "b.txt", tmp_path / "b.json")
-        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()

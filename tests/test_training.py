@@ -19,7 +19,7 @@ from subicap.model.transformer import (
     ModelConfig,
     init_params,
     loss_only,
-    param_shapes,
+    num_params,
 )
 
 CFG = ModelConfig(vocab_size=12, d_model=8, n_enc_layers=2, n_dec_layers=2,
@@ -55,8 +55,8 @@ class TestAdam:
     def test_state_starts_at_zero(self):
         state = AdamState.init(CFG)
         assert state.step == 0
-        assert all(np.all(state.m[n] == 0.0) for n, _ in param_shapes(CFG))
-        assert all(np.all(state.v[n] == 0.0) for n, _ in param_shapes(CFG))
+        assert state.flat.shape == (3, num_params(CFG))
+        assert np.all(state.flat == 0.0)
 
     def test_first_step_matches_closed_form(self):
         """With zeroed moments the bias-corrected first update reduces to
@@ -70,43 +70,34 @@ class TestAdam:
 
         _, grads = loss_and_grads(batch, params, CFG)
         train_step(batch, params, CFG, AdamState.init(CFG), tc)
-        s = math.sqrt(1.0 - tc.beta2)
+        s = math.sqrt(1.0 - 0.999)  # beta2
         for name in ("out.W", "embed.W", "enc0.attn.Wq"):
             g = grads[name]
-            expected = -tc.lr * s * g / (s * np.abs(g) + tc.eps)
+            expected = -tc.lr * s * g / (s * np.abs(g) + 1e-8)  # eps
             np.testing.assert_allclose(
                 params[name] - before[name], expected, rtol=1e-9, atol=1e-18
             )
 
-    def test_update_on_separate_copies_matches_update_on_views(self):
+    def test_update_on_separate_copies_is_rejected(self):
         batch = _make_batch(4)
-        views = init_params(CFG, seed=4)
-        copies = {k: v.copy() for k, v in views.items()}
-        held = dict(copies)
-        tc = TrainConfig(lr=1e-3)
-        state_v, state_c = AdamState.init(CFG), AdamState.init(CFG)
-        for _ in range(3):
-            lv = train_step(batch, views, CFG, state_v, tc)
-            lc = train_step(batch, copies, CFG, state_c, tc)
-            assert lv == lc
-        for name, _ in param_shapes(CFG):
-            assert copies[name] is held[name]  # updated in place
-            assert np.array_equal(copies[name], views[name])
-            assert np.array_equal(state_c.m[name], state_v.m[name])
+        copies = {k: v.copy() for k, v in init_params(CFG, seed=4).items()}
+        before = {k: v.copy() for k, v in copies.items()}
+        with pytest.raises(ValueError, match="views"):
+            train_step(batch, copies, CFG, AdamState.init(CFG), TrainConfig())
+        assert all(np.array_equal(copies[k], before[k]) for k in copies)
 
     def test_loss_decreases(self):
         batch = _make_batch(1)
         params = init_params(CFG, seed=1)
-        history = fit(batch, params, CFG, TrainConfig(lr=3e-3), steps=60,
-                      log_every=0)
+        history = fit(batch, params, CFG, TrainConfig(lr=3e-3), steps=60)
         assert history[-1] < history[0] * 0.7
 
     def test_fit_is_bitwise_reproducible(self):
         batch = _make_batch(2)
         p1 = init_params(CFG, seed=2)
         p2 = init_params(CFG, seed=2)
-        h1 = fit(batch, p1, CFG, TrainConfig(), steps=20, log_every=0)
-        h2 = fit(batch, p2, CFG, TrainConfig(), steps=20, log_every=0)
+        h1 = fit(batch, p1, CFG, TrainConfig(), steps=20)
+        h2 = fit(batch, p2, CFG, TrainConfig(), steps=20)
         assert h1 == h2
         assert all(np.array_equal(p1[k], p2[k]) for k in p1)
 
@@ -176,7 +167,7 @@ class TestNextTokenAccuracy:
         batch = _make_batch(7, n_items=1, seq_len=3)
         params = init_params(CFG, seed=7)
         fit(batch, params, CFG, TrainConfig(lr=5e-3, decay_every=0),
-            steps=250, log_every=0)
+            steps=250)
         assert next_token_accuracy(batch, params, CFG) == 1.0
 
     def test_accuracy_bounded(self):

@@ -28,7 +28,6 @@ from subicap.model.transformer import (
     loss_only,
     num_params,
     pack_batch,
-    paper_scale_config,
     param_shapes,
     save_checkpoint,
     sinusoid_positions,
@@ -37,6 +36,13 @@ from subicap.model.transformer import (
 
 CFG = ModelConfig(vocab_size=12, d_model=8, n_enc_layers=2, n_dec_layers=2,
                   n_heads=2, d_ff=16, d_in=5, geo_embed_dim=4, max_seq_len=10)
+
+
+def _paper_scale(vocab_size):
+    """The full-size configuration the desk defaults are scaled down from."""
+    return ModelConfig(vocab_size=vocab_size, d_model=512, n_enc_layers=6,
+                       n_dec_layers=6, n_heads=8, d_ff=2048, d_in=2048,
+                       geo_embed_dim=64, max_seq_len=20)
 
 
 def _random_regions(rng, n, d_in=5):
@@ -149,25 +155,25 @@ class TestModelConfig:
             ModelConfig(**kwargs)
 
     def test_paper_scale_dimensions(self):
-        cfg = paper_scale_config(9486)
+        cfg = _paper_scale(9486)
         assert (cfg.d_model, cfg.n_heads, cfg.d_ff) == (512, 8, 2048)
         assert cfg.n_enc_layers == cfg.n_dec_layers == 6
 
 
 class TestParamCounts:
     def test_published_totals(self):
-        assert num_params(paper_scale_config(9486)) == 54_894_080
-        assert num_params(paper_scale_config(1085)) == 46_291_456
+        assert num_params(_paper_scale(9486)) == 54_894_080
+        assert num_params(_paper_scale(1085)) == 46_291_456
 
     def test_vocab_delta_is_embed_plus_head(self):
-        big = num_params(paper_scale_config(9486))
-        small = num_params(paper_scale_config(1085))
+        big = num_params(_paper_scale(9486))
+        small = num_params(_paper_scale(1085))
         assert big - small == 8_602_624
         assert big - small == 2 * (9486 - 1085) * 512
 
     def test_only_embed_and_head_depend_on_vocab(self):
-        a = dict(param_shapes(paper_scale_config(9486)))
-        b = dict(param_shapes(paper_scale_config(1085)))
+        a = dict(param_shapes(_paper_scale(9486)))
+        b = dict(param_shapes(_paper_scale(1085)))
         assert set(a) == set(b)
         differing = {n for n in a if a[n] != b[n]}
         assert differing == {"embed.W", "out.W"}
@@ -429,22 +435,29 @@ class TestBatchedPath:
 class TestFlatParameters:
     def test_init_and_load_give_views_of_one_vector(self, tmp_path):
         params = init_params(CFG, seed=0)
-        flat, shared = flatten(params, CFG)
-        assert shared and flat.shape == (num_params(CFG),)
+        flat = flatten(params, CFG)
+        assert flat.shape == (num_params(CFG),)
         flat[0] = 42.0
         assert params["appear.W"][0, 0] == 42.0
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, CFG)
         loaded, _ = load_checkpoint(path)
-        loaded_flat, shared = flatten(loaded, CFG)
-        assert shared and np.array_equal(loaded_flat, flat)
+        loaded_flat = flatten(loaded, CFG)
+        assert np.array_equal(loaded_flat, flat)
         assert loaded_flat.flags.writeable
 
-    def test_separate_copies_are_packed_not_shared(self):
+    def test_gradients_are_views_of_one_vector(self):
+        rng = np.random.default_rng(0)
+        batch = [(_random_regions(rng, 2), [3, 4])]
+        _, grads = loss_and_grads(batch, init_params(CFG, seed=0), CFG)
+        flat = flatten(grads, CFG)
+        flat[-1] = 42.0
+        assert grads["out.W"][-1, -1] == 42.0
+
+    def test_separate_copies_are_rejected(self):
         params = {k: v.copy() for k, v in init_params(CFG, seed=0).items()}
-        flat, shared = flatten(params, CFG)
-        assert not shared
-        assert np.array_equal(flat, flatten(init_params(CFG, seed=0), CFG)[0])
+        with pytest.raises(ValueError, match="views"):
+            flatten(params, CFG)
 
 
 class TestCheckpoint:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from subicap import unigram
 from subicap.corpus import Corpus
 from subicap.errors import (
     OrphanContinuationError,
@@ -36,7 +37,6 @@ from subicap.unigram import (
     piece_content,
     prune_vocab,
     save_vocab,
-    sequence_logprob,
     train_unigram,
     viterbi_segment,
 )
@@ -107,21 +107,24 @@ class TestMarkerHelpers:
 
 
 class TestTrainerConfig:
-    def test_defaults(self):
-        cfg = TrainerConfig(target_vocab_size=100)
-        assert cfg.resolved_seed_size == 2000
-        assert cfg.max_piece_length == 16
+    def test_defaults(self, monkeypatch):
+        # the seed holds 20x the target; pieces hold at most 16 characters
+        seed_sizes = []
+        real = unigram.build_seed_vocab
 
-    def test_explicit_seed_size(self):
-        assert TrainerConfig(5, seed_size=7).resolved_seed_size == 7
+        def spy(corpus, seed_size):
+            seed_sizes.append(seed_size)
+            return real(corpus, seed_size)
+
+        monkeypatch.setattr(unigram, "build_seed_vocab", spy)
+        train_unigram(Corpus.from_texts(["ab ab b"]), TrainerConfig(6))
+        assert seed_sizes == [120]
+        word = "abcdefghijklmnopq"  # 17 characters
+        seed = build_seed_vocab(Corpus.from_texts([f"{word} {word}"]), 1000)
+        assert max(len(piece_content(p)) for p, _ in seed.entries) == 16
 
     @pytest.mark.parametrize("kwargs", [
         {"target_vocab_size": 0},
-        {"target_vocab_size": 10, "shrink_factor": 1.0},
-        {"target_vocab_size": 10, "shrink_factor": 0.0},
-        {"target_vocab_size": 10, "max_piece_length": 0},
-        {"target_vocab_size": 10, "em_subiterations": 0},
-        {"target_vocab_size": 10, "min_piece_count": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -172,7 +175,6 @@ class TestLattice:
         assert found == {
             (0, 1, "a"), (0, 2, "ab"), (1, 2, "_b"), (1, 3, "_ba"), (2, 3, "_a"),
         }
-        assert lat.has_full_path()
 
     def test_marked_multichar_never_matches_word_start(self):
         # the piece "_x" is reserved for a continuation "x", so it must not
@@ -290,7 +292,7 @@ class TestRoundtrip:
                 words.append("".join(rng.choice(letters, size=n)))
             texts.append(" ".join(words))
         corpus = Corpus.from_texts(texts)
-        vocab = build_seed_vocab(corpus, TrainerConfig(50, seed_size=40))
+        vocab = build_seed_vocab(corpus, 40)
         for t in texts:
             assert detokenize(encode(t, vocab)) == t
 
@@ -301,22 +303,18 @@ class TestRoundtrip:
     def test_detokenize_accepts_iterables(self):
         assert detokenize(["head", "_ed", "cat"]) == "headed cat"
 
-    def test_sequence_logprob_sums_scores(self):
-        v = _scored_vocab({"a": -1.0, "_b": -2.0})
-        assert sequence_logprob(["a", "_b", "a"], v) == pytest.approx(-4.0)
-
 
 class TestSeedVocab:
     def test_single_char_corpus_is_exactly_its_char(self):
         corpus = Corpus.from_texts(["x"])
-        vocab = build_seed_vocab(corpus, TrainerConfig(5, seed_size=10))
+        vocab = build_seed_vocab(corpus, 10)
         assert [p for p, _ in vocab.entries] == ["x"]
         assert vocab.entries[0][1] == pytest.approx(0.0)
 
     def test_counts_and_scores_hand_oracle(self):
         # words: ab x2, b x1. counts: a=2, b=1, _b=2, ab=2; total 7
         corpus = Corpus.from_texts(["ab ab b"])
-        vocab = build_seed_vocab(corpus, TrainerConfig(5, seed_size=10))
+        vocab = build_seed_vocab(corpus, 10)
         got = dict(vocab.entries)
         assert set(got) == {"a", "b", "_b", "ab", " "}
         total = 2 + 1 + 2 + 2 + 1  # space is forced in at count 1
@@ -325,9 +323,7 @@ class TestSeedVocab:
 
     def test_min_piece_count_filters_rare_substrings(self):
         corpus = Corpus.from_texts(["ab cd"])
-        vocab = build_seed_vocab(
-            corpus, TrainerConfig(5, seed_size=10, min_piece_count=2)
-        )
+        vocab = build_seed_vocab(corpus, 10)
         pieces = {p for p, _ in vocab.entries}
         assert "ab" not in pieces and "cd" not in pieces
         assert {"a", "b", "c", "d", "_b", "_d"} <= pieces
@@ -335,25 +331,25 @@ class TestSeedVocab:
     def test_marked_single_only_when_seen_internally(self):
         # "a" begins words only; "b" appears internally
         corpus = Corpus.from_texts(["ab ab"])
-        vocab = build_seed_vocab(corpus, TrainerConfig(5, seed_size=10))
+        vocab = build_seed_vocab(corpus, 10)
         pieces = {p for p, _ in vocab.entries}
         assert "_b" in pieces
         assert "_a" not in pieces
 
     def test_seed_size_caps_multichar_pieces(self):
         corpus = Corpus.from_texts(["abcd abcd abcd"])
-        small = build_seed_vocab(corpus, TrainerConfig(5, seed_size=2))
+        small = build_seed_vocab(corpus, 2)
         n_multi = sum(len(piece_content(p)) > 1 for p, _ in small.entries)
         assert n_multi == 2
 
     def test_scores_form_a_distribution(self):
         corpus = Corpus.from_texts(["the cat sat on the mat", "a cat ran"])
-        vocab = build_seed_vocab(corpus, TrainerConfig(30, seed_size=50))
+        vocab = build_seed_vocab(corpus, 50)
         assert sum(math.exp(s) for _, s in vocab.entries) == pytest.approx(1.0)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            build_seed_vocab(Corpus([]), TrainerConfig(5))
+            build_seed_vocab(Corpus([]), 5)
 
 
 class TestEmStep:
@@ -392,7 +388,7 @@ class TestEmStep:
                      for _ in range(rng.integers(1, 5))]
             texts.append(" ".join(words))
         corpus = Corpus.from_texts(texts)
-        vocab = build_seed_vocab(corpus, TrainerConfig(40, seed_size=60))
+        vocab = build_seed_vocab(corpus, 60)
         prev = -math.inf
         for _ in range(15):
             vocab, ll = em_step(corpus, vocab)
@@ -413,8 +409,7 @@ class TestEmStep:
     def test_unusable_pieces_get_floor_not_crash(self):
         # the space piece sits on no lattice; 50 iterations must stay finite
         corpus = Corpus.from_texts(["ab cd"])
-        vocab = build_seed_vocab(corpus, TrainerConfig(10, seed_size=10,
-                                                       min_piece_count=1))
+        vocab = build_seed_vocab(corpus, 10)
         for _ in range(50):
             vocab, ll = em_step(corpus, vocab)
             assert math.isfinite(ll)
@@ -426,14 +421,14 @@ class TestPrune:
         """Hand-ranked removal costs.
 
         "ab" x10 rides on piece "ab" (cost 10*19), "cd" x1 on "cd" (cost 19),
-        "xy" matches nothing (cost 0). keep_exact=1 must keep "ab" alone.
+        "xy" matches nothing (cost 0). keep=1 must keep "ab" alone.
         """
         corpus = Corpus.from_texts(["ab"] * 10 + ["cd"])
         vocab = _scored_vocab({
             **_coverage_singles("abcd", score=-20.0),
             " ": -20.0, "ab": -1.0, "cd": -1.0, "xy": -1.0,
         })
-        pruned = prune_vocab(corpus, vocab, 0.5, keep_exact=1)
+        pruned = prune_vocab(corpus, vocab, 1)
         kept = {p for p, _ in pruned.entries}
         assert "ab" in kept
         assert "cd" not in kept and "xy" not in kept
@@ -444,30 +439,23 @@ class TestPrune:
             **_coverage_singles("abcd", score=-20.0),
             " ": -20.0, "ab": -1.0, "cd": -1.0, "xy": -1.0,
         })
-        pruned = prune_vocab(corpus, vocab, 0.5, keep_exact=2)
+        pruned = prune_vocab(corpus, vocab, 2)
         kept = {p for p, _ in pruned.entries}
         assert {"ab", "cd"} <= kept
         assert "xy" not in kept
 
     def test_singles_never_pruned(self):
         corpus = Corpus.from_texts(["ab ab"])
-        vocab = build_seed_vocab(corpus, TrainerConfig(5, seed_size=5))
-        pruned = prune_vocab(corpus, vocab, 0.5, keep_exact=0)
+        vocab = build_seed_vocab(corpus, 5)
+        pruned = prune_vocab(corpus, vocab, 0)
         assert {p for p, _ in pruned.entries} == vocab.required_chars
 
     def test_survivors_renormalized(self):
         corpus = Corpus.from_texts(["ab ab abc"])
-        vocab = build_seed_vocab(corpus, TrainerConfig(8, seed_size=8))
-        pruned = prune_vocab(corpus, vocab, 0.5)
+        vocab = build_seed_vocab(corpus, 8)
+        n_multi = vocab.size - len(vocab.required_chars)
+        pruned = prune_vocab(corpus, vocab, n_multi // 2)
         assert sum(math.exp(s) for _, s in pruned.entries) == pytest.approx(1.0)
-
-    def test_keep_fraction_bounds(self):
-        corpus = Corpus.from_texts(["ab"])
-        vocab = build_seed_vocab(corpus, TrainerConfig(5, seed_size=5))
-        with pytest.raises(ValueError):
-            prune_vocab(corpus, vocab, 0.0)
-        with pytest.raises(ValueError):
-            prune_vocab(corpus, vocab, 1.5)
 
 
 @pytest.fixture(scope="module")
@@ -516,8 +504,7 @@ class TestTrainUnigram:
 
     def test_saturates_when_corpus_is_small(self):
         corpus = Corpus.from_texts(["ab ab"])
-        vocab = train_unigram(corpus, TrainerConfig(target_vocab_size=500,
-                                                    seed_size=500))
+        vocab = train_unigram(corpus, TrainerConfig(target_vocab_size=500))
         # only so many substrings exist; pieces cannot be invented
         assert vocab.size < 500
 
@@ -525,8 +512,7 @@ class TestTrainUnigram:
 class TestSerialization:
     def test_roundtrip_preserves_order_and_scores(self, tmp_path):
         corpus = Corpus.from_texts(["ab ab b", "abc"])
-        vocab = train_unigram(corpus, TrainerConfig(target_vocab_size=9,
-                                                    seed_size=20))
+        vocab = train_unigram(corpus, TrainerConfig(target_vocab_size=9))
         path = tmp_path / "vocab.tsv"
         save_vocab(vocab, path)
         loaded = load_vocab(path)
@@ -547,8 +533,7 @@ class TestSerialization:
 
     def test_save_is_byte_deterministic(self, tmp_path):
         corpus = Corpus.from_texts(["ab ab b"])
-        vocab = train_unigram(corpus, TrainerConfig(target_vocab_size=6,
-                                                    seed_size=10))
+        vocab = train_unigram(corpus, TrainerConfig(target_vocab_size=6))
         p1, p2 = tmp_path / "v1.tsv", tmp_path / "v2.tsv"
         save_vocab(vocab, p1)
         save_vocab(vocab, p2)
