@@ -322,6 +322,8 @@ def cmd_generate(args) -> int:
     })
     if r["greedy"]:
         r["beam"] = 1
+    if type(r["beam"]) is not int or r["beam"] < 1:
+        raise CliUsageError(f"--beam must be an integer >= 1, got {r['beam']!r}")
     ckpt_path = _require(r, "checkpoint", "--checkpoint")
     vocab = unigram.load_vocab(_require(r, "tokenizer", "--tokenizer"))
     out = Path(_require(r, "out", "--out"))

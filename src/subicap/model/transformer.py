@@ -161,6 +161,9 @@ def flatten(tensors, cfg: ModelConfig) -> np.ndarray:
     them; writing to it writes to the tensors. Raises ValueError for any
     other dict of tensors."""
     spans, size = _layout(cfg)
+    missing = [name for name, _, _, _ in spans if name not in tensors]
+    if missing:
+        raise ValueError(f"missing tensors: {', '.join(missing)}")
     flat = tensors[spans[0][0]].base
     if (isinstance(flat, np.ndarray) and flat.dtype == np.float64
             and flat.shape == (size,)
@@ -439,14 +442,17 @@ def _decoder_bwd(dx, cache, params, cfg: ModelConfig, grads):
     return dq
 
 
-def decoder_forward(q, prefix_ids, params, cfg: ModelConfig) -> np.ndarray:
-    """Next-token logits for every prefix position, shape (T, vocab_size)."""
-    ids = np.asarray(prefix_ids, dtype=np.int64)
-    t = ids.shape[0]
+def _check_length(t: int, cfg: ModelConfig) -> None:
     if t == 0:
         raise ValueError("decoder needs at least one input token")
     if t > cfg.max_seq_len:
         raise ValueError(f"sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
+
+
+def decoder_forward(q, prefix_ids, params, cfg: ModelConfig) -> np.ndarray:
+    """Next-token logits for every prefix position, shape (T, vocab_size)."""
+    ids = np.asarray(prefix_ids, dtype=np.int64)
+    _check_length(ids.shape[0], cfg)
     h, _ = _decoder_fwd(q, ids[None], None, params, cfg)
     return h @ params["out.W"]
 

@@ -325,6 +325,21 @@ class TestModelCommands:
         assert "--max-len" in err and "1..23" in err  # trained at --max-len 24
         assert not out.exists()
 
+    @pytest.mark.parametrize("beam", ["0", "-1"])
+    def test_generate_rejects_beam_below_one_before_loading(self, tmp_path,
+                                                            capsys, beam):
+        # the checkpoint and tokenizer do not exist: the range check must
+        # come before anything is read
+        out = tmp_path / "gen.txt"
+        rc = main(["generate", "--checkpoint", str(tmp_path / "none.ckpt"),
+                   "--tokenizer", str(tmp_path / "none.tsv"), "--out", str(out),
+                   "--beam", beam])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("subicap: error:") and len(err.splitlines()) == 1
+        assert "--beam" in err and ">= 1" in err and beam in err
+        assert not out.exists()
+
     def test_tokenizer_checkpoint_mismatch(self, checkpoint, corpus_file,
                                            tmp_path, capsys):
         other = tmp_path / "other.tsv"

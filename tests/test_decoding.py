@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from subicap.model import decoding
 from subicap.model.decoding import (
     Hypothesis,
     beam_search,
@@ -17,6 +18,7 @@ from subicap.model.decoding import (
     caption_regions,
     greedy_decode,
     greedy_step_decode,
+    model_rows_fn,
     model_step_fn,
 )
 from subicap.model.geometry import Region, RegionSet
@@ -93,6 +95,46 @@ def enumerate_best(step_fn, vocab, max_len):
     walk((1,), [], 0.0)  # BOS_ID
     return max(complete,
                key=lambda h: (h.norm_score, -len(h.token_ids), h.token_ids))
+
+
+def oracle_steps(step_fn, beam, max_len):
+    """The candidates each step keeps, by sorting every one as a (-score,
+    sequence) tuple: the rule the array search must reproduce."""
+    live, steps = [((BOS_ID,), 0.0)], []
+    for _ in range(max_len):
+        cands = sorted((-(score + float(lp)), prefix + (tok,))
+                       for prefix, score in live
+                       for tok, lp in enumerate(step_fn(prefix)))
+        steps.append([(seq, -neg) for neg, seq in cands[:beam] if neg != np.inf])
+        live = [(seq, score) for seq, score in steps[-1] if seq[-1] != EOS_ID]
+        if not live:
+            break
+    return steps
+
+
+def searched_steps(step_fn, beam, max_len):
+    """(result, the prefixes the search expanded at each step, in order)."""
+    seen = []
+
+    def step(prefix):
+        seen.append(prefix)
+        return step_fn(prefix)
+
+    hyp = beam_step_decode(step, beam, max_len)
+    return hyp, [[p for p in seen if len(p) == t] for t in range(1, max_len + 1)]
+
+
+def _tied_step_fn(seed, vocab=6, levels=3, masked=0.0):
+    """Log-probs drawn from a few integer levels, so exact ties are common;
+    a share `masked` of the ids other than <eos> score -inf."""
+
+    def step(prefix):
+        rng = np.random.default_rng([seed, *prefix])
+        out = -rng.integers(0, levels, size=vocab).astype(float)
+        out[(rng.random(vocab) < masked) & (np.arange(vocab) != EOS_ID)] = -np.inf
+        return out
+
+    return step
 
 
 class TestHypothesis:
@@ -180,14 +222,17 @@ class TestBeamFindsBetterSequences:
 
     def test_wide_beam_matches_exhaustive_enumeration(self):
         """With the beam wider than the whole search tree nothing is ever
-        pruned, so the result must equal the brute-force optimum."""
-        for seed in range(25):
-            step = _random_step_fn(seed)
-            want = enumerate_best(_random_step_fn(seed), vocab=5, max_len=3)
-            got = beam_step_decode(step, beam=1000, max_len=3)
-            assert got.token_ids == want.token_ids, seed
-            assert got.finished == want.finished
-            assert got.logprob == pytest.approx(want.logprob, abs=1e-12)
+        pruned, so the result must equal the brute-force optimum, exact
+        score ties included."""
+        for make_step in (_random_step_fn,
+                          lambda seed: _tied_step_fn(seed, vocab=5, levels=2)):
+            for seed in range(25):
+                step = make_step(seed)
+                want = enumerate_best(make_step(seed), vocab=5, max_len=3)
+                got = beam_step_decode(step, beam=1000, max_len=3)
+                assert got.token_ids == want.token_ids, seed
+                assert got.finished == want.finished
+                assert got.logprob == pytest.approx(want.logprob, abs=1e-12)
 
     def test_finished_ranking_uses_normalized_score(self):
         # [3] at p .09 (norm log .09 / 2) loses to [4 4] at p .064
@@ -200,6 +245,115 @@ class TestBeamFindsBetterSequences:
         }
         beam = beam_step_decode(_table_step_fn(table, 5), beam=2, max_len=3)
         assert math.exp(beam.norm_score) > math.exp(math.log(0.09) / 2)
+
+
+class TestTieRule:
+    """Ties rank by token sequence ascending, wherever they fall."""
+
+    def assert_follows_oracle(self, step_fn, beam, max_len):
+        want = oracle_steps(step_fn, beam, max_len)
+        hyp, expanded = searched_steps(step_fn, beam, max_len)
+        for t, kept in enumerate(want[: max_len - 1]):  # the last is not run
+            assert expanded[t + 1] == sorted(seq for seq, _ in kept
+                                             if seq[-1] != EOS_ID), t
+        return want, hyp
+
+    def test_tie_within_one_row(self):
+        table = {(1,): {5: 0.3, 4: 0.3, 3: 0.3, 2: 0.1},
+                 (1, 3): {2: 1.0}, (1, 4): {2: 1.0}, (1, 5): {2: 1.0}}
+        want, _ = self.assert_follows_oracle(_table_step_fn(table, 6), 2, 3)
+        assert [seq for seq, _ in want[0]] == [(1, 3), (1, 4)]
+
+    def test_tie_across_two_live_prefixes(self):
+        # all four second-step candidates score log .4 + log .5
+        table = {(1,): {3: 0.4, 4: 0.4, 2: 0.2},
+                 (1, 3): {5: 0.5, 4: 0.5}, (1, 4): {3: 0.5, 5: 0.5}}
+        want, _ = self.assert_follows_oracle(_table_step_fn(table, 6), 2, 3)
+        assert [seq for seq, _ in want[1]] == [(1, 3, 4), (1, 3, 5)]
+
+    def test_tie_at_the_kth_boundary(self):
+        # one clear winner, then the 2nd-best score shared by four ids
+        table = {(1,): {5: 0.4, 2: 0.15, 3: 0.15, 4: 0.15, 6: 0.15}}
+        want, _ = self.assert_follows_oracle(_table_step_fn(table, 7), 3, 2)
+        assert [seq for seq, _ in want[0]] == [(1, 5), (1, 2), (1, 3)]
+
+    def test_random_tied_step_functions(self):
+        for seed in range(60):
+            step = _tied_step_fn(seed, masked=0.3)
+            for beam in (1, 2, 3, 4, 7):
+                want, hyp = self.assert_follows_oracle(step, beam, 4)
+                ends = [Hypothesis(seq[1:-1], s, True) for kept in want
+                        for seq, s in kept if seq[-1] == EOS_ID]
+                ends += [Hypothesis(seq[1:], s, False) for seq, s in want[-1]
+                         if seq[-1] != EOS_ID and len(want) == 4]
+                assert hyp == max(ends, key=lambda h: (
+                    h.norm_score, -len(h.token_ids), h.token_ids)), (seed, beam)
+
+    @pytest.mark.parametrize("beam", [1, 2, 4, 20])
+    def test_never_keeps_a_minus_inf_candidate(self, beam):
+        for seed in range(25):
+            step = _tied_step_fn(seed, masked=0.5)
+            hyp, expanded = searched_steps(step, beam, 4)
+            assert math.isfinite(hyp.logprob)
+            for prefix in (p for rows in expanded[1:] for p in rows):
+                assert step(prefix[:-1])[prefix[-1]] > -np.inf, (seed, prefix)
+
+
+class TestBatchedRows:
+    def test_rows_equal_the_per_prefix_decoder(self):
+        """One batched pass over L prefixes gives each prefix's own
+        log_softmax(decoder_forward(q, prefix)[-1]), to 1e-12."""
+        banned = np.zeros(CFG.vocab_size, dtype=bool)
+        banned[[3, 7]] = True
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            params = init_params(CFG, seed=seed)
+            q = encoder_forward(_random_regions(rng, n=2 + seed % 3), params, CFG)
+            for t in (1, 2, 5, CFG.max_seq_len):
+                prefixes = rng.integers(0, CFG.vocab_size, size=(1 + seed % 4, t))
+                prefixes[:, 0] = BOS_ID
+                got = model_rows_fn(q, params, CFG, banned)(prefixes)
+                for row, prefix in zip(got, prefixes):
+                    want = _log_softmax(decoder_forward(q, prefix, params, CFG)[-1])
+                    want[[PAD_ID, BOS_ID]] = -np.inf
+                    if t == 1:
+                        want[banned] = -np.inf
+                    finite = np.isfinite(want)
+                    assert np.array_equal(np.isfinite(row), finite)
+                    assert np.max(np.abs(row[finite] - want[finite])) <= 1e-12
+
+    def test_rows_reject_overlong_prefixes(self):
+        params = init_params(CFG, seed=0)
+        q = encoder_forward(_random_regions(np.random.default_rng(0)), params, CFG)
+        with pytest.raises(ValueError, match="max_seq_len"):
+            model_rows_fn(q, params, CFG)(np.ones((2, CFG.max_seq_len + 1), int))
+
+    @pytest.mark.parametrize("beam", [2, 4])
+    def test_model_runs_once_per_search_step(self, beam, monkeypatch):
+        """However many beams are live, each step is one decoder pass over
+        all of them, in prefix order; the per-prefix decoder never runs."""
+        calls = []
+
+        def counted(q, inputs, *args):
+            calls.append(inputs.copy())
+            return real(q, inputs, *args)
+
+        real = decoding._decoder_fwd
+        monkeypatch.setattr(decoding, "_decoder_fwd", counted)
+        monkeypatch.setattr(decoding, "decoder_forward", None)
+        widest = 0
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            params = init_params(CFG, seed=seed)
+            calls.clear()
+            caption_regions(_random_regions(rng), params, CFG, beam=beam,
+                            max_len=6)
+            assert [c.shape[1] for c in calls] == list(range(1, len(calls) + 1))
+            for rows in calls:
+                assert len(rows) <= beam
+                assert sorted(set(map(tuple, rows))) == list(map(tuple, rows))
+            widest = max(widest, max(len(rows) for rows in calls))
+        assert widest == beam
 
 
 class TestBeamValidation:

@@ -478,6 +478,13 @@ class TestCheckpoint:
         save_checkpoint(p2, params, CFG)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_rejects_missing_tensor_on_save(self, tmp_path):
+        params = init_params(CFG, seed=0)
+        del params["appear.W"]
+        with pytest.raises(CheckpointError, match="appear.W"):
+            save_checkpoint(tmp_path / "bad.ckpt", params, CFG)
+        assert not (tmp_path / "bad.ckpt").exists()
+
     def test_rejects_wrong_shape_on_save(self, tmp_path):
         params = init_params(CFG, seed=0)
         params["out.W"] = np.zeros((2, 2))
