@@ -109,6 +109,13 @@ def _require(resolved: dict, key: str, flag: str):
     return resolved[key]
 
 
+def _require_count(resolved: dict, key: str, flag: str) -> int:
+    value = _require(resolved, key, flag)
+    if type(value) is not int or value < 1:
+        raise CliUsageError(f"{flag} must be an integer >= 1, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # tokenizer commands
 
@@ -122,24 +129,26 @@ def cmd_train_tokenizer(args) -> int:
     })
     corpus_path = _require(r, "corpus", "--corpus")
     out = Path(_require(r, "out", "--out"))
-    c = corpus_mod.load_corpus(corpus_path, max_words=r["max_words"])
     algo = r["algo"]
     if algo == "unigram":
-        k = _require(r, "vocab_size", "--vocab-size")
+        k = _require_count(r, "vocab_size", "--vocab-size")
+    elif algo == "bpe":
+        merges = _require(r, "merges", "--merges")
+    elif algo != "word":
+        raise CliUsageError(f"unknown --algo {algo!r}; pick unigram, bpe, or word")
+    c = corpus_mod.load_corpus(corpus_path, max_words=r["max_words"])
+    if algo == "unigram":
         vocab = unigram.train_unigram(c, unigram.TrainerConfig(target_vocab_size=k))
         unigram.save_vocab(vocab, out)
         log.info("trained unigram vocabulary: %d pieces -> %s", vocab.size, out)
     elif algo == "bpe":
-        merges = _require(r, "merges", "--merges")
         model = baselines.train_bpe(c, merges)
         baselines.save_bpe(model, out)
         log.info("trained bpe: %d merges -> %s", len(model.merges), out)
-    elif algo == "word":
+    else:
         vocab = baselines.train_word_vocab(c, min_freq=r["min_freq"])
         baselines.save_word_vocab(vocab, out)
         log.info("trained word vocabulary: %d words -> %s", vocab.size, out)
-    else:
-        raise CliUsageError(f"unknown --algo {algo!r}; pick unigram, bpe, or word")
     _write_manifest(out, "train-tokenizer", r, {"corpus": str(corpus_path)},
                     [str(out)], r["seed"], started)
     return 0
@@ -291,8 +300,8 @@ def cmd_train_lm(args) -> int:
         "geo_dim": 8, "d_in": 16, "max_len": 32, "lr": 5e-4,
         "decay_every": 500, "decay_factor": 0.8,
     })
-    if r["steps"] < 1:
-        raise CliUsageError(f"--steps must be at least 1, got {r['steps']}")
+    _require_count(r, "steps", "--steps")
+    _require_count(r, "images", "--images")
     vocab = unigram.load_vocab(_require(r, "tokenizer", "--tokenizer"))
     out = Path(_require(r, "out", "--out"))
     scenes = synthetic.synthetic_regions(r["seed"], r["images"], d_in=r["d_in"])
@@ -322,8 +331,8 @@ def cmd_generate(args) -> int:
     })
     if r["greedy"]:
         r["beam"] = 1
-    if type(r["beam"]) is not int or r["beam"] < 1:
-        raise CliUsageError(f"--beam must be an integer >= 1, got {r['beam']!r}")
+    _require_count(r, "beam", "--beam")
+    _require_count(r, "images", "--images")
     ckpt_path = _require(r, "checkpoint", "--checkpoint")
     vocab = unigram.load_vocab(_require(r, "tokenizer", "--tokenizer"))
     out = Path(_require(r, "out", "--out"))

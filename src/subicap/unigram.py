@@ -18,15 +18,27 @@ that drop the multi-character pieces whose removal costs the least Viterbi
 likelihood, until the target size is reached. Single-character pieces needed
 for coverage are never pruned. All loops accumulate in corpus order, so
 results are bitwise reproducible.
+
+A lattice depends only on the piece set, not on the scores, so each piece
+set has one lattice table: per distinct word, the (start, end, piece id) of
+every match as int arrays; scores are read from the vocabulary when the
+table is used. A vocabulary fills its table lazily, one word on first use.
+em_step hands the re-scored vocabulary the same table (same pieces, same
+order); prune_vocab derives the survivors' table by filtering the spans and
+renumbering them, keeping their order, so every sum runs in the same order
+as over a freshly built lattice. EM, the pruning loss scans, Viterbi and
+encode all read the table, so a word's lattice is built once per training
+run and once per loaded vocabulary.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus, normalize_text
 from .errors import (
@@ -104,11 +116,19 @@ class SubwordVocab:
     """Immutable piece inventory with log-probability scores.
 
     entries: (piece, score) in id order; scores are finite, <= 0, and
-    exp-sum to one. required_chars holds the protected single-character
-    pieces (both marker forms) that pruning must keep.
+    exp-sum to one, and `scores` holds them alone in the same order.
+    required_chars holds the protected single-character pieces (both marker
+    forms) that pruning must keep.
+
+    The lattice table (see lattice()) starts empty and gains one entry per
+    word on first use. em_step shares it with the vocabulary it returns and
+    prune_vocab filters it into the survivors' table. It is derived data,
+    a pure function of the pieces, so the vocabulary stays immutable in
+    every observable way.
     """
 
-    __slots__ = ("entries", "piece_to_id", "required_chars", "max_content_length")
+    __slots__ = ("entries", "scores", "piece_to_id", "required_chars",
+                 "max_content_length", "_lattices")
 
     def __init__(self, entries: Sequence[tuple[str, float]]):
         ents = tuple(entries)
@@ -122,13 +142,14 @@ class SubwordVocab:
                 raise VocabFormatError(f"piece {piece!r} has invalid score {score}")
             index[piece] = i
         self.entries: tuple[tuple[str, float], ...] = ents
+        self.scores: tuple[float, ...] = tuple(s for _, s in ents)
         self.piece_to_id: dict[str, int] = index
+        lengths = [len(piece_content(p)) for p, _ in ents]
         self.required_chars: frozenset[str] = frozenset(
-            p for p, _ in ents if len(piece_content(p)) == 1
+            p for (p, _), n in zip(ents, lengths) if n == 1
         )
-        self.max_content_length: int = max(
-            (len(piece_content(p)) for p, _ in ents), default=1
-        )
+        self.max_content_length: int = max(lengths, default=1)
+        self._lattices: dict[str, Lattice] = {}
 
     @property
     def size(self) -> int:
@@ -159,26 +180,62 @@ class SubwordVocab:
             return CONTROL_TOKENS[token_id]
         return self.entries[token_id - NUM_CONTROLS][0]
 
+    def lattice(self, word: str) -> Lattice:
+        """The lattice of `word` from this piece set's table, built on first use."""
+        lat = self._lattices.get(word)
+        if lat is None:
+            lat = self._lattices[word] = build_lattice(word, self)
+        return lat
+
 
 # ---------------------------------------------------------------------------
 # lattice
 
 
-@dataclass(frozen=True)
-class LatticeSpan:
+# array type code of the lattice tables: 64-bit, wide enough for any word
+# length and piece id
+_INT = "q"
+
+
+class LatticeSpan(NamedTuple):
     start: int
     end: int
     piece_id: int
-    score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lattice:
-    """All vocabulary matches over one word, grouped by span end."""
+    """All vocabulary matches over one word, ordered by (start, end).
+
+    The spans starting at position i are offsets[i]:offsets[i + 1] of the
+    parallel arrays ends and piece_ids.
+    """
 
     sentence: str
-    spans: tuple[LatticeSpan, ...]
-    by_end: tuple[tuple[int, ...], ...]  # span indices ending at position j
+    offsets: array
+    ends: array
+    piece_ids: array
+
+    @property
+    def spans(self) -> tuple[LatticeSpan, ...]:
+        offsets = self.offsets
+        return tuple(
+            LatticeSpan(i, self.ends[k], self.piece_ids[k])
+            for i in range(len(self.sentence))
+            for k in range(offsets[i], offsets[i + 1])
+        )
+
+    def remapped(self, new_ids: Sequence[int]) -> Lattice:
+        """Keep the spans whose piece has a new id (>= 0), in order, renumbered."""
+        offsets, ends, piece_ids = array(_INT, [0]), array(_INT), array(_INT)
+        for i in range(len(self.sentence)):
+            for k in range(self.offsets[i], self.offsets[i + 1]):
+                pid = new_ids[self.piece_ids[k]]
+                if pid >= 0:
+                    ends.append(self.ends[k])
+                    piece_ids.append(pid)
+            offsets.append(len(piece_ids))
+        return Lattice(self.sentence, offsets, ends, piece_ids)
 
 
 def _span_piece(word: str, i: int, j: int) -> str | None:
@@ -209,22 +266,18 @@ def build_lattice(word: str, vocab: SubwordVocab) -> Lattice:
         raise ValueError("cannot build a lattice over an empty word")
     check_coverage(word, vocab)
     index = vocab.piece_to_id
-    entries = vocab.entries
     n = len(word)
     max_len = vocab.max_content_length
-    spans: list[LatticeSpan] = []
-    by_end: list[list[int]] = [[] for _ in range(n + 1)]
+    offsets, ends, piece_ids = array(_INT, [0]), array(_INT), array(_INT)
     for i in range(n):
         for j in range(i + 1, min(i + max_len, n) + 1):
             key = _span_piece(word, i, j)
-            if key is None:
-                continue
-            pid = index.get(key)
-            if pid is None:
-                continue
-            by_end[j].append(len(spans))
-            spans.append(LatticeSpan(i, j, pid, entries[pid][1]))
-    return Lattice(word, tuple(spans), tuple(tuple(e) for e in by_end))
+            pid = None if key is None else index.get(key)
+            if pid is not None:
+                ends.append(j)
+                piece_ids.append(pid)
+        offsets.append(len(piece_ids))
+    return Lattice(word, offsets, ends, piece_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -240,33 +293,31 @@ def _viterbi_word(
     piece sequence. Exact float equality is intentional: ties arise from
     identical score sums, and anything else is a genuine difference.
     """
-    lattice = build_lattice(word, vocab)
-    entries = vocab.entries
+    lattice = vocab.lattice(word)
+    offsets, ends, piece_ids = lattice.offsets, lattice.ends, lattice.piece_ids
+    entries, scores = vocab.entries, vocab.scores
     n = len(word)
-    # per position: (score, n_pieces, pieces) or None
+    # per position: (score, n_pieces, pieces) or None. Spans are visited by
+    # start, so the candidates for one end arrive in order of their start.
     best: list[tuple[float, int, tuple[str, ...]] | None] = [None] * (n + 1)
     best[0] = (0.0, 0, ())
-    for j in range(1, n + 1):
-        top: tuple[float, int, tuple[str, ...]] | None = None
-        for k in lattice.by_end[j]:
-            span = lattice.spans[k]
-            if skip_piece is not None and span.piece_id == skip_piece:
+    for i in range(n):
+        prev = best[i]
+        if prev is None:
+            continue
+        for k in range(offsets[i], offsets[i + 1]):
+            pid = piece_ids[k]
+            if pid == skip_piece:
                 continue
-            prev = best[span.start]
-            if prev is None:
-                continue
-            cand = (
-                prev[0] + span.score,
-                prev[1] + 1,
-                prev[2] + (entries[span.piece_id][0],),
-            )
+            cand = (prev[0] + scores[pid], prev[1] + 1, prev[2] + (entries[pid][0],))
+            j = ends[k]
+            top = best[j]
             if (
                 top is None
                 or cand[0] > top[0]
                 or (cand[0] == top[0] and (cand[1], cand[2]) < (top[1], top[2]))
             ):
-                top = cand
-        best[j] = top
+                best[j] = cand
     final = best[n]
     if final is None:
         # unreachable after check_coverage unless skip_piece removed a
@@ -377,46 +428,44 @@ def _log_add(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
-def _word_forward_backward(
-    lattice: Lattice,
-) -> tuple[float, list[tuple[int, float]]]:
-    """Log marginal probability of one word and per-span posteriors.
+def _word_forward_backward(lattice: Lattice, scores: Sequence[float],
+                           weight: int, expected: list[float]) -> float:
+    """Log marginal probability of one word.
 
-    Returns (logZ, [(piece_id, posterior)...]) for every span on a full path.
+    Adds weight x posterior of every span on a full path to
+    expected[piece_id], in span order.
     """
+    offsets, ends, piece_ids = lattice.offsets, lattice.ends, lattice.piece_ids
     n = len(lattice.sentence)
+    # forward by start: each end position sums its spans in order of start
     fwd = [NEG_INF] * (n + 1)
     fwd[0] = 0.0
-    for j in range(1, n + 1):
-        acc = NEG_INF
-        for k in lattice.by_end[j]:
-            span = lattice.spans[k]
-            if fwd[span.start] != NEG_INF:
-                acc = _log_add(acc, fwd[span.start] + span.score)
-        fwd[j] = acc
+    for i in range(n):
+        if fwd[i] != NEG_INF:
+            for k in range(offsets[i], offsets[i + 1]):
+                j = ends[k]
+                fwd[j] = _log_add(fwd[j], fwd[i] + scores[piece_ids[k]])
     log_z = fwd[n]
     if log_z == NEG_INF:
         raise OutOfInventoryError(lattice.sentence[0], 0,
                                   f"no segmentation for {lattice.sentence!r}")
-    by_start: list[list[LatticeSpan]] = [[] for _ in range(n + 1)]
-    for span in lattice.spans:
-        by_start[span.start].append(span)
     bwd = [NEG_INF] * (n + 1)
     bwd[n] = 0.0
     for i in range(n - 1, -1, -1):
         acc = NEG_INF
-        for span in by_start[i]:
-            if bwd[span.end] != NEG_INF:
-                acc = _log_add(acc, span.score + bwd[span.end])
+        for k in range(offsets[i], offsets[i + 1]):
+            if bwd[ends[k]] != NEG_INF:
+                acc = _log_add(acc, scores[piece_ids[k]] + bwd[ends[k]])
         bwd[i] = acc
-    posteriors: list[tuple[int, float]] = []
-    for span in lattice.spans:
-        if fwd[span.start] == NEG_INF or bwd[span.end] == NEG_INF:
+    for i in range(n):
+        if fwd[i] == NEG_INF:
             continue
-        posteriors.append(
-            (span.piece_id, math.exp(fwd[span.start] + span.score + bwd[span.end] - log_z))
-        )
-    return log_z, posteriors
+        for k in range(offsets[i], offsets[i + 1]):
+            if bwd[ends[k]] != NEG_INF:
+                pid = piece_ids[k]
+                expected[pid] += weight * math.exp(
+                    fwd[i] + scores[pid] + bwd[ends[k]] - log_z)
+    return log_z
 
 
 def em_step(corpus: Corpus, vocab: SubwordVocab) -> tuple[SubwordVocab, float]:
@@ -425,15 +474,14 @@ def em_step(corpus: Corpus, vocab: SubwordVocab) -> tuple[SubwordVocab, float]:
     Returns the re-estimated vocabulary and the corpus log-likelihood under
     the INPUT scores (sum over word tokens of the log marginal over all
     segmentations). Zero expected counts are floored at a 1e-30 fraction of
-    the total before renormalizing, so every score stays finite.
+    the total before renormalizing, so every score stays finite. The
+    returned vocabulary shares the input's lattice table.
     """
     expected = [0.0] * vocab.size
     log_likelihood = 0.0
     for word, c in corpus.word_counts.items():
-        log_z, posteriors = _word_forward_backward(build_lattice(word, vocab))
+        log_z = _word_forward_backward(vocab.lattice(word), vocab.scores, c, expected)
         log_likelihood += c * log_z
-        for pid, post in posteriors:
-            expected[pid] += c * post
     total_positive = sum(expected)
     if total_positive <= 0.0:
         raise ValueError("EM produced no expected counts; corpus is empty?")
@@ -442,22 +490,16 @@ def em_step(corpus: Corpus, vocab: SubwordVocab) -> tuple[SubwordVocab, float]:
     floor = total_positive * _COUNT_FLOOR_FRACTION
     floored = [e if e > floor else floor for e in expected]
     total = sum(floored)
-    new_entries = [
+    rescored = SubwordVocab([
         (piece, math.log(e / total))
         for (piece, _), e in zip(vocab.entries, floored)
-    ]
-    return SubwordVocab(new_entries), log_likelihood
+    ])
+    rescored._lattices = vocab._lattices
+    return rescored, log_likelihood
 
 
-def prune_vocab(corpus: Corpus, vocab: SubwordVocab, keep: int) -> SubwordVocab:
-    """Drop the multi-character pieces whose removal costs the least.
-
-    Cost of a piece is the exact drop in Viterbi corpus likelihood when only
-    that piece is removed (words whose best path avoids it contribute zero,
-    so unused pieces are removed first). Single-character coverage pieces are
-    never candidates. Keeps `keep` of the others (all of them if there are
-    fewer); survivor scores are renormalized to the simplex.
-    """
+def _kept_pieces(corpus: Corpus, vocab: SubwordVocab, keep: int) -> set[str]:
+    """The `keep` multi-character pieces whose removal costs the most."""
     protected = vocab.required_chars
     multi_ids = [
         i for i, (p, _) in enumerate(vocab.entries) if p not in protected
@@ -488,15 +530,33 @@ def prune_vocab(corpus: Corpus, vocab: SubwordVocab, keep: int) -> SubwordVocab:
             loss += word_counts[word] * (base_scores[word] - without)
         losses.append((-loss, -use_count[pid], piece))
     losses.sort()
-    kept_pieces = {piece for _, _, piece in losses[:max(keep, 0)]}
+    return {piece for _, _, piece in losses[:max(keep, 0)]}
 
-    survivors = [
-        (p, s) for p, s in vocab.entries if p in protected or p in kept_pieces
-    ]
+
+def prune_vocab(corpus: Corpus, vocab: SubwordVocab, keep: int) -> SubwordVocab:
+    """Drop the multi-character pieces whose removal costs the least.
+
+    Cost of a piece is the exact drop in Viterbi corpus likelihood when only
+    that piece is removed (words whose best path avoids it contribute zero,
+    so unused pieces are removed first). Single-character coverage pieces are
+    never candidates. Keeps `keep` of the others (all of them if there are
+    fewer); survivor scores are renormalized to the simplex. The survivors'
+    lattice table is the input's, filtered to the kept pieces.
+    """
+    # the loss scan's working set is freed before the survivors' table is built
+    kept = vocab.required_chars | _kept_pieces(corpus, vocab, keep)
+    survivors = [i for i, (p, _) in enumerate(vocab.entries) if p in kept]
     log_total = NEG_INF
-    for _, s in survivors:
-        log_total = _log_add(log_total, s)
-    return SubwordVocab([(p, s - log_total) for p, s in survivors])
+    for i in survivors:
+        log_total = _log_add(log_total, vocab.scores[i])
+    pruned = SubwordVocab([(vocab.entries[i][0], vocab.scores[i] - log_total)
+                           for i in survivors])
+    new_ids = [-1] * vocab.size
+    for new, old in enumerate(survivors):
+        new_ids[old] = new
+    pruned._lattices = {word: lat.remapped(new_ids)
+                        for word, lat in vocab._lattices.items()}
+    return pruned
 
 
 def train_unigram(corpus: Corpus, config: TrainerConfig) -> SubwordVocab:

@@ -104,6 +104,18 @@ class TestTrainTokenizer:
         assert err.startswith("subicap: error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_vocab_size_below_one_fails_before_reading(self, tmp_path, capsys, k):
+        # the corpus does not exist: the range check must come first
+        out = tmp_path / "v.tsv"
+        rc = main(["train-tokenizer", "--corpus", str(tmp_path / "none.tsv"),
+                   "--vocab-size", k, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("subicap: error:") and len(err.splitlines()) == 1
+        assert "--vocab-size" in err and ">= 1" in err and k in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_algo_via_config_fails(self, corpus_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"algo": "snappy", "vocab_size": 60}))
@@ -375,6 +387,23 @@ def test_generated_captions_hold_no_control_tokens(one_step_model, tmp_path, bea
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 20
     assert not [line for line in lines if "<bos>" in line or "<pad>" in line]
+
+
+@pytest.mark.parametrize("images", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["train-lm", "--tokenizer", "none.tsv"],
+    ["generate", "--checkpoint", "none.ckpt", "--tokenizer", "none.tsv"],
+], ids=["train-lm", "generate"])
+def test_images_below_one_fails_before_reading(tmp_path, capsys,
+                                               monkeypatch, argv, images):
+    # no input file exists: the range check must come first
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv + ["--out", "out", "--images", images])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("subicap: error:") and len(err.splitlines()) == 1
+    assert "--images" in err and ">= 1" in err and images in err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestTrainLmChecks:

@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subicap import unigram
-from subicap.corpus import Corpus
+from subicap.corpus import Corpus, bundled_corpus_path, load_corpus
 from subicap.errors import (
     OrphanContinuationError,
     OutOfInventoryError,
@@ -507,6 +509,88 @@ class TestTrainUnigram:
         vocab = train_unigram(corpus, TrainerConfig(target_vocab_size=500))
         # only so many substrings exist; pieces cannot be invented
         assert vocab.size < 500
+
+
+@st.composite
+def corpus_and_vocab(draw):
+    """A small corpus over "abc_" and its seed vocabulary with random scores
+    (ties included)."""
+    word = st.text(alphabet="abc_", min_size=1, max_size=7)
+    texts = draw(st.lists(st.lists(word, min_size=1, max_size=4).map(" ".join),
+                          min_size=1, max_size=6))
+    corpus = Corpus.from_texts(texts)
+    seed = build_seed_vocab(corpus, draw(st.integers(0, 30)))
+    scores = draw(st.lists(st.sampled_from([-0.5, -1.0, -2.5, -4.0])
+                           | st.floats(-8.0, -0.01),
+                           min_size=seed.size, max_size=seed.size))
+    vocab = SubwordVocab([(p, s) for (p, _), s in zip(seed.entries, scores)])
+    keep = draw(st.integers(0, vocab.size - len(vocab.required_chars)))
+    return corpus, vocab, keep
+
+
+def _bits(vocab_and_ll):
+    vocab, ll = vocab_and_ll
+    return [p for p, _ in vocab.entries], [s.hex() for s in vocab.scores], ll.hex()
+
+
+def _no_build(word, vocab):
+    raise AssertionError(f"lattice of {word!r} rebuilt")
+
+
+class TestLatticeTable:
+    """One lattice table per piece set: EM shares it, pruning filters it, and
+    no reader depends on whether it was already filled."""
+
+    @given(case=corpus_and_vocab())
+    @settings(max_examples=75, deadline=None, derandomize=True)
+    def test_pruned_table_equals_fresh_lattices(self, case):
+        corpus, vocab, keep = case
+        filled, _ = em_step(corpus, vocab)
+        pruned = prune_vocab(corpus, filled, keep)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(unigram, "build_lattice", _no_build)
+            derived = [pruned.lattice(w) for w in corpus.word_counts]
+        for word, lat in zip(corpus.word_counts, derived):
+            assert lat.spans == build_lattice(word, pruned).spans
+
+    @given(case=corpus_and_vocab())
+    @settings(max_examples=75, deadline=None, derandomize=True)
+    def test_filled_table_changes_no_bit(self, case):
+        corpus, vocab, keep = case
+        em_step(corpus, vocab)  # fills vocab's table
+        assert _bits(em_step(corpus, vocab)) == \
+            _bits(em_step(corpus, SubwordVocab(vocab.entries)))
+        pruned = prune_vocab(corpus, vocab, keep)
+        assert pruned.entries == \
+            prune_vocab(corpus, SubwordVocab(vocab.entries), keep).entries
+        assert _bits(em_step(corpus, pruned)) == \
+            _bits(em_step(corpus, SubwordVocab(pruned.entries)))
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The words build_lattice is called on, in call order."""
+        words = []
+        real = unigram.build_lattice
+
+        def logging_build(word, vocab):
+            words.append(word)
+            return real(word, vocab)
+
+        monkeypatch.setattr(unigram, "build_lattice", logging_build)
+        return words
+
+    def test_train_unigram_builds_each_word_once(self, built):
+        corpus = load_corpus(bundled_corpus_path())
+        train_unigram(corpus, TrainerConfig(target_vocab_size=300))
+        assert len(corpus.word_counts) == len(built) == 289
+        assert set(built) == set(corpus.word_counts)
+
+    def test_encode_builds_a_repeated_word_once(self, built):
+        vocab = _uniform_vocab(["a", "_a", "c", "_c", "t", "_t", "at", "_at"])
+        encode("cat a cat at cat", vocab)
+        assert built == ["cat", "a", "at"]
+        encode("at cat", vocab)
+        assert built == ["cat", "a", "at"]
 
 
 class TestSerialization:
