@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Corpus, normalize_text
+from .corpus import Corpus, normalize_text, read_text
 from .errors import VocabFormatError
 from .unigram import CONTINUATION, mark_continuations
 
@@ -121,7 +121,7 @@ def save_bpe(model: BpeModel, path: str | Path) -> None:
 
 
 def load_bpe(path: str | Path) -> BpeModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path, VocabFormatError).splitlines()
     if not lines or lines[0] != BPE_HEADER:
         raise VocabFormatError(f"{path}: missing {BPE_HEADER!r} header")
     merges: list[tuple[str, str]] = []
@@ -192,7 +192,7 @@ def save_word_vocab(vocab: WordVocab, path: str | Path) -> None:
 
 
 def load_word_vocab(path: str | Path, min_freq: int = 5) -> WordVocab:
-    words = Path(path).read_text(encoding="utf-8").splitlines()
+    words = read_text(path, VocabFormatError).splitlines()
     if len(words) < len(WORD_SPECIALS):
         raise VocabFormatError(f"{path}: missing special tokens")
     return WordVocab(tuple(words), min_freq)

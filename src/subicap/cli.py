@@ -6,10 +6,16 @@ output gets a sibling <out>.manifest.json recording the resolved arguments
 and seed. Outputs are byte-identical across runs for identical seeds and
 configs; only manifest timestamp/duration fields may differ.
 
-Option precedence: explicit flags, then the JSON --config file, then
-defaults. SUBICAP_LOG={error|info|debug} selects stderr log verbosity.
-Errors print one machine-parsable line, "subicap: error: <message>", and
-exit nonzero.
+One table, COMMANDS, declares every subcommand: its help, its cmd_*
+function and its options, each an Option(name, kind, default), maybe
+repeatable, with flag --name ('-' for '_'). A kind is int, COUNT (an
+integer >= 1), float, str or a tuple of choices; a default may be REQUIRED.
+The parser, the --config JSON file, the defaults and the checks all come
+from it. Precedence: flag, then config file (null counts as absent), then
+default; every resolved value is checked against its kind, from whichever
+source, before any other file is read. SUBICAP_LOG={error|info|debug}
+selects stderr log verbosity. Errors print one machine-parsable line,
+"subicap: error: <message>", and exit 2.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,24 +65,64 @@ class RunManifest:
 
 
 def _write_manifest(primary_out: Path, subcommand: str, arguments: dict,
-                    inputs: dict, outputs: list[str], seed: int | None,
-                    started: float) -> Path:
+                    inputs: dict, outputs: list[str], started: float) -> None:
     manifest = RunManifest(
         subcommand=subcommand,
         arguments=arguments,
         inputs=inputs,
         outputs=outputs,
-        seed=seed,
+        seed=arguments.get("seed"),
         tool_version=__version__,
         timestamp_utc=datetime.now(timezone.utc).isoformat(),
         duration_s=round(time.time() - started, 6),
     )
-    path = Path(str(primary_out) + ".manifest.json")
-    path.write_text(
+    Path(str(primary_out) + ".manifest.json").write_text(
         json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n",
         encoding="utf-8", newline="\n",
     )
-    return path
+
+
+# ---------------------------------------------------------------------------
+# options (declared in COMMANDS, below the commands)
+
+COUNT = "count"  # kind: an integer >= 1
+REQUIRED = "required"  # default: the flag or the config file must set it
+
+# kind -> (what a value must be, its test, the argparse type that converts a
+# flag's text); the test sees flag and config values alike, and a bool is
+# never an integer here
+_KINDS = {
+    int: ("an integer", lambda v: type(v) is int, int),
+    COUNT: ("an integer >= 1", lambda v: type(v) is int and v >= 1, int),
+    float: ("a number", lambda v: type(v) in (int, float), float),
+    str: ("a string", lambda v: type(v) is str, None),
+}
+
+
+class Option(NamedTuple):
+    name: str
+    kind: object  # a key of _KINDS, or a tuple of choices
+    default: object = None
+    repeat: bool = False
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _kind_of(opt: Option) -> tuple:
+    if isinstance(opt.kind, tuple):
+        return "one of " + ", ".join(opt.kind), opt.kind.__contains__, None
+    return _KINDS[opt.kind]
+
+
+def _check(opt: Option, value) -> None:
+    what, test, _ = _kind_of(opt)
+    if opt.repeat and (type(value) is not list or not value):
+        raise CliUsageError(f"{_flag(opt.name)} must be a non-empty list, got {value!r}")
+    for item in value if opt.repeat else [value]:
+        if not test(item):
+            raise CliUsageError(f"{_flag(opt.name)} must be {what}, got {item!r}")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -91,66 +137,55 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults; every key in `defaults` is resolved."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
+def _resolve(args: argparse.Namespace) -> dict:
+    """Each option of the subcommand: flag > config file > default, checked."""
+    file_cfg = _load_config_file(args.config)
     resolved = {}
-    for key, fallback in defaults.items():
-        value = getattr(args, key, None)
+    for opt in COMMANDS[args.subcommand].options:
+        value = getattr(args, opt.name)
         if value is None:
-            value = file_cfg.get(key, fallback)
-        resolved[key] = value
+            value = file_cfg.get(opt.name)
+        if value is None and opt.default != REQUIRED:
+            value = opt.default
+        resolved[opt.name] = value
+        if value is not None:
+            _check(opt, value)
+        elif opt.default == REQUIRED:
+            _require(resolved, opt.name)
     return resolved
 
 
-def _require(resolved: dict, key: str, flag: str):
+def _require(resolved: dict, key: str) -> None:
     if resolved[key] is None:
-        raise CliUsageError(f"{flag} is required (flag or config file)")
-    return resolved[key]
-
-
-def _require_count(resolved: dict, key: str, flag: str) -> int:
-    value = _require(resolved, key, flag)
-    if type(value) is not int or value < 1:
-        raise CliUsageError(f"{flag} must be an integer >= 1, got {value!r}")
-    return value
+        raise CliUsageError(f"{_flag(key)} is required (flag or config file)")
 
 
 # ---------------------------------------------------------------------------
 # tokenizer commands
 
 
-def cmd_train_tokenizer(args) -> int:
+def cmd_train_tokenizer(r: dict) -> int:
     started = time.time()
-    r = _resolve(args, {
-        "corpus": None, "algo": "unigram", "vocab_size": None, "merges": None,
-        "min_freq": 5, "max_words": corpus_mod.DEFAULT_MAX_WORDS,
-        "out": None, "seed": 0,
-    })
-    corpus_path = _require(r, "corpus", "--corpus")
-    out = Path(_require(r, "out", "--out"))
+    out = Path(r["out"])
     algo = r["algo"]
+    if algo != "word":
+        _require(r, "vocab_size" if algo == "unigram" else "merges")
+    c = corpus_mod.load_corpus(r["corpus"], max_words=r["max_words"])
     if algo == "unigram":
-        k = _require_count(r, "vocab_size", "--vocab-size")
-    elif algo == "bpe":
-        merges = _require(r, "merges", "--merges")
-    elif algo != "word":
-        raise CliUsageError(f"unknown --algo {algo!r}; pick unigram, bpe, or word")
-    c = corpus_mod.load_corpus(corpus_path, max_words=r["max_words"])
-    if algo == "unigram":
-        vocab = unigram.train_unigram(c, unigram.TrainerConfig(target_vocab_size=k))
+        vocab = unigram.train_unigram(
+            c, unigram.TrainerConfig(target_vocab_size=r["vocab_size"]))
         unigram.save_vocab(vocab, out)
         log.info("trained unigram vocabulary: %d pieces -> %s", vocab.size, out)
     elif algo == "bpe":
-        model = baselines.train_bpe(c, merges)
+        model = baselines.train_bpe(c, r["merges"])
         baselines.save_bpe(model, out)
         log.info("trained bpe: %d merges -> %s", len(model.merges), out)
     else:
         vocab = baselines.train_word_vocab(c, min_freq=r["min_freq"])
         baselines.save_word_vocab(vocab, out)
         log.info("trained word vocabulary: %d words -> %s", vocab.size, out)
-    _write_manifest(out, "train-tokenizer", r, {"corpus": str(corpus_path)},
-                    [str(out)], r["seed"], started)
+    _write_manifest(out, "train-tokenizer", r, {"corpus": r["corpus"]},
+                    [str(out)], started)
     return 0
 
 
@@ -169,111 +204,80 @@ def _write_lines(lines: list[str], path: str | None) -> None:
             print(line)
 
 
-def cmd_encode(args) -> int:
-    r = _resolve(args, {"vocab": None, "input": None, "output": None})
-    vocab = unigram.load_vocab(_require(r, "vocab", "--vocab"))
-    out_lines = []
-    for line in _read_lines(r["input"]):
-        if not line.strip():
-            out_lines.append("")
-            continue
-        seq = unigram.encode(line, vocab)
-        out_lines.append(" ".join(seq.pieces))
-    _write_lines(out_lines, r["output"])
+def _map_lines(r: dict, convert) -> int:
+    """--input (or stdin) to --output (or stdout); blank lines pass through."""
+    _write_lines([convert(line) if line.strip() else ""
+                  for line in _read_lines(r["input"])], r["output"])
     return 0
 
 
-def cmd_decode(args) -> int:
-    r = _resolve(args, {"input": None, "output": None})
-    out_lines = []
-    for line in _read_lines(r["input"]):
-        if not line.strip():
-            out_lines.append("")
-            continue
-        out_lines.append(unigram.detokenize(line.split(" ")))
-    _write_lines(out_lines, r["output"])
-    return 0
+def cmd_encode(r: dict) -> int:
+    vocab = unigram.load_vocab(r["vocab"])
+    return _map_lines(r, lambda line: " ".join(unigram.encode(line, vocab).pieces))
+
+
+def cmd_decode(r: dict) -> int:
+    return _map_lines(r, lambda line: unigram.detokenize(line.split(" ")))
 
 
 # ---------------------------------------------------------------------------
 # analysis commands
 
 
-def _text_sibling(json_out: Path) -> Path:
-    if json_out.suffix == ".json":
-        return json_out.with_suffix(".txt")
-    return Path(str(json_out) + ".txt")
+def _write_report(out: Path, data: dict, text: str) -> list[str]:
+    """The JSON report at `out` and its text twin; returns both paths."""
+    text_out = (out.with_suffix(".txt") if out.suffix == ".json"
+                else Path(str(out) + ".txt"))
+    out.write_text(analysis.report_json(data), encoding="utf-8", newline="\n")
+    text_out.write_text(text, encoding="utf-8", newline="\n")
+    return [str(out), str(text_out)]
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(r: dict) -> int:
     started = time.time()
-    r = _resolve(args, {
-        "corpus": None, "vocab_size": None, "out": None,
-        "max_words": corpus_mod.DEFAULT_MAX_WORDS, "seed": 0,
-    })
-    corpus_path = _require(r, "corpus", "--corpus")
-    sizes = _require(r, "vocab_size", "--vocab-size")
-    out = Path(_require(r, "out", "--out"))
-    c = corpus_mod.load_corpus(corpus_path, max_words=r["max_words"])
-    report = analysis.vocab_sweep(c, sizes)
-    out.write_text(analysis.report_json(analysis.sweep_to_dict(report)),
-                   encoding="utf-8", newline="\n")
-    text_out = _text_sibling(out)
-    text_out.write_text(analysis.sweep_to_text(report), encoding="utf-8",
-                        newline="\n")
-    log.info("sweep over sizes %s -> %s", sizes, out)
-    _write_manifest(out, "sweep", r, {"corpus": str(corpus_path)},
-                    [str(out), str(text_out)], r["seed"], started)
+    out = Path(r["out"])
+    c = corpus_mod.load_corpus(r["corpus"], max_words=r["max_words"])
+    report = analysis.vocab_sweep(c, r["vocab_size"])
+    outputs = _write_report(out, analysis.sweep_to_dict(report),
+                            analysis.sweep_to_text(report))
+    log.info("sweep over sizes %s -> %s", r["vocab_size"], out)
+    _write_manifest(out, "sweep", r, {"corpus": r["corpus"]}, outputs, started)
     return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(r: dict) -> int:
     started = time.time()
-    r = _resolve(args, {
-        "corpus": None, "generated": None, "out": None,
-        "max_words": corpus_mod.DEFAULT_MAX_WORDS,
-    })
-    corpus_path = _require(r, "corpus", "--corpus")
-    generated_path = _require(r, "generated", "--generated")
-    out = Path(_require(r, "out", "--out"))
-    training_corpus = corpus_mod.load_corpus(corpus_path, max_words=r["max_words"])
+    out = Path(r["out"])
+    training_corpus = corpus_mod.load_corpus(r["corpus"], max_words=r["max_words"])
     generated = [
-        line for line in Path(generated_path).read_text(encoding="utf-8").splitlines()
+        line for line in Path(r["generated"]).read_text(encoding="utf-8").splitlines()
         if line.strip()
     ]
     report = analysis.uniqueness_report(generated, training_corpus)
-    out.write_text(analysis.report_json(analysis.uniqueness_to_dict(report)),
-                   encoding="utf-8", newline="\n")
-    text_out = _text_sibling(out)
-    text_out.write_text(analysis.uniqueness_to_text(report), encoding="utf-8",
-                        newline="\n")
+    outputs = _write_report(out, analysis.uniqueness_to_dict(report),
+                            analysis.uniqueness_to_text(report))
     _write_manifest(out, "report", r,
-                    {"corpus": str(corpus_path), "generated": str(generated_path)},
-                    [str(out), str(text_out)], None, started)
+                    {"corpus": r["corpus"], "generated": r["generated"]},
+                    outputs, started)
     return 0
 
 
-def cmd_params(args) -> int:
+def _model_config_fields(r: dict) -> dict:
+    """The ModelConfig fields that the _model_dims options set."""
+    return dict(d_model=r["d_model"], n_enc_layers=r["layers"],
+                n_dec_layers=r["layers"], n_heads=r["heads"], d_ff=r["d_ff"],
+                d_in=r["d_in"], geo_embed_dim=r["geo_dim"])
+
+
+def cmd_params(r: dict) -> int:
     started = time.time()
-    r = _resolve(args, {
-        "vocab": None, "d_model": 512, "layers": 6, "heads": 8,
-        "d_ff": 2048, "d_in": 2048, "geo_dim": 64, "out": None,
-    })
-    vocabs = _require(r, "vocab", "--vocab")
-    counts = [
-        analysis.param_count(
-            v, d_model=r["d_model"], n_enc_layers=r["layers"],
-            n_dec_layers=r["layers"], n_heads=r["heads"], d_ff=r["d_ff"],
-            d_in=r["d_in"], geo_embed_dim=r["geo_dim"],
-        )
-        for v in vocabs
-    ]
+    counts = [analysis.param_count(v, **_model_config_fields(r)) for v in r["vocab"]]
     sys.stdout.write(analysis.params_to_text(counts))
     if r["out"]:
         out = Path(r["out"])
         out.write_text(analysis.report_json(analysis.params_to_dict(counts)),
                        encoding="utf-8", newline="\n")
-        _write_manifest(out, "params", r, {}, [str(out)], None, started)
+        _write_manifest(out, "params", r, {}, [str(out)], started)
     return 0
 
 
@@ -292,26 +296,14 @@ def _scenes_to_batch(scenes, vocab, max_seq_len: int):
     return batch
 
 
-def cmd_train_lm(args) -> int:
+def cmd_train_lm(r: dict) -> int:
     started = time.time()
-    r = _resolve(args, {
-        "tokenizer": None, "out": None, "seed": 0, "images": 10,
-        "steps": 300, "d_model": 32, "layers": 2, "heads": 2, "d_ff": 64,
-        "geo_dim": 8, "d_in": 16, "max_len": 32, "lr": 5e-4,
-        "decay_every": 500, "decay_factor": 0.8,
-    })
-    _require_count(r, "steps", "--steps")
-    _require_count(r, "images", "--images")
-    vocab = unigram.load_vocab(_require(r, "tokenizer", "--tokenizer"))
-    out = Path(_require(r, "out", "--out"))
+    vocab = unigram.load_vocab(r["tokenizer"])
+    out = Path(r["out"])
     scenes = synthetic.synthetic_regions(r["seed"], r["images"], d_in=r["d_in"])
     batch = _scenes_to_batch(scenes, vocab, r["max_len"])
-    cfg = transformer.ModelConfig(
-        vocab_size=vocab.num_tokens, d_model=r["d_model"],
-        n_enc_layers=r["layers"], n_dec_layers=r["layers"], n_heads=r["heads"],
-        d_ff=r["d_ff"], d_in=r["d_in"], geo_embed_dim=r["geo_dim"],
-        max_seq_len=r["max_len"],
-    )
+    cfg = transformer.ModelConfig(vocab_size=vocab.num_tokens, max_seq_len=r["max_len"],
+                                  **_model_config_fields(r))
     params = transformer.init_params(cfg, seed=r["seed"])
     tcfg = training.TrainConfig(lr=r["lr"], decay_every=r["decay_every"],
                                 decay_factor=r["decay_factor"])
@@ -319,24 +311,15 @@ def cmd_train_lm(args) -> int:
     transformer.save_checkpoint(out, params, cfg)
     log.info("final loss %.6f after %d steps -> %s", history[-1], r["steps"], out)
     _write_manifest(out, "train-lm", r, {"tokenizer": r["tokenizer"]},
-                    [str(out)], r["seed"], started)
+                    [str(out)], started)
     return 0
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(r: dict) -> int:
     started = time.time()
-    r = _resolve(args, {
-        "checkpoint": None, "tokenizer": None, "out": None, "seed": 0,
-        "images": 10, "beam": 2, "max_len": None, "greedy": False,
-    })
-    if r["greedy"]:
-        r["beam"] = 1
-    _require_count(r, "beam", "--beam")
-    _require_count(r, "images", "--images")
-    ckpt_path = _require(r, "checkpoint", "--checkpoint")
-    vocab = unigram.load_vocab(_require(r, "tokenizer", "--tokenizer"))
-    out = Path(_require(r, "out", "--out"))
-    params, cfg = transformer.load_checkpoint(ckpt_path)
+    vocab = unigram.load_vocab(r["tokenizer"])
+    out = Path(r["out"])
+    params, cfg = transformer.load_checkpoint(r["checkpoint"])
     if vocab.num_tokens != cfg.vocab_size:
         raise SubicapError(
             f"tokenizer has {vocab.num_tokens} token ids but the checkpoint "
@@ -361,8 +344,8 @@ def cmd_generate(args) -> int:
     _write_lines(lines, str(out))
     log.info("generated %d captions (beam=%d) -> %s", len(lines), r["beam"], out)
     _write_manifest(out, "generate", r,
-                    {"checkpoint": str(ckpt_path), "tokenizer": r["tokenizer"]},
-                    [str(out)], r["seed"], started)
+                    {"checkpoint": r["checkpoint"], "tokenizer": r["tokenizer"]},
+                    [str(out)], started)
     return 0
 
 
@@ -370,8 +353,61 @@ def cmd_generate(args) -> int:
 # wiring
 
 
-def _add_config(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file supplying defaults for any flag")
+class Command(NamedTuple):
+    help: str
+    run: Callable[[dict], int]  # takes the resolved options
+    options: tuple[Option, ...]
+
+
+def _model_dims(*defaults) -> list[Option]:
+    names = ("d_model", "layers", "heads", "d_ff", "d_in", "geo_dim")
+    return [Option(name, COUNT, d) for name, d in zip(names, defaults)]
+
+
+_MAX_WORDS = Option("max_words", COUNT, corpus_mod.DEFAULT_MAX_WORDS)
+
+COMMANDS: dict[str, Command] = {
+    "train-tokenizer": Command("fit a tokenizer", cmd_train_tokenizer, (
+        Option("corpus", str, REQUIRED),
+        Option("algo", ("unigram", "bpe", "word"), "unigram"),
+        # --vocab-size is required by --algo unigram, --merges by bpe
+        Option("vocab_size", COUNT), Option("merges", int),
+        Option("min_freq", COUNT, 5), _MAX_WORDS, Option("out", str, REQUIRED),
+    )),
+    "encode": Command("captions on stdin to pieces on stdout", cmd_encode, (
+        Option("vocab", str, REQUIRED), Option("input", str), Option("output", str),
+    )),
+    "decode": Command("pieces on stdin to captions on stdout", cmd_decode, (
+        Option("input", str), Option("output", str),
+    )),
+    "sweep": Command("train and measure several vocab sizes", cmd_sweep, (
+        Option("corpus", str, REQUIRED),
+        Option("vocab_size", COUNT, REQUIRED, repeat=True),
+        _MAX_WORDS, Option("out", str, REQUIRED),
+    )),
+    "report": Command("uniqueness of generated captions", cmd_report, (
+        Option("corpus", str, REQUIRED), Option("generated", str, REQUIRED),
+        _MAX_WORDS, Option("out", str, REQUIRED),
+    )),
+    "params": Command("parameter-count arithmetic", cmd_params, (
+        Option("vocab", COUNT, REQUIRED, repeat=True),
+        *_model_dims(512, 6, 8, 2048, 2048, 64),
+        Option("out", str),
+    )),
+    "train-lm": Command("train the caption model on synthetic scenes", cmd_train_lm, (
+        Option("tokenizer", str, REQUIRED), Option("out", str, REQUIRED),
+        Option("seed", int, 0), Option("images", COUNT, 10), Option("steps", COUNT, 300),
+        *_model_dims(32, 2, 2, 64, 16, 8),
+        Option("max_len", COUNT, 32), Option("lr", float, 5e-4),
+        Option("decay_every", int, 500), Option("decay_factor", float, 0.8),
+    )),
+    "generate": Command("decode captions from a checkpoint", cmd_generate, (
+        Option("checkpoint", str, REQUIRED), Option("tokenizer", str, REQUIRED),
+        Option("out", str, REQUIRED), Option("seed", int, 0),
+        Option("images", COUNT, 10), Option("beam", COUNT, 2),
+        Option("max_len", int),  # default: the checkpoint's limit
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,94 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  "region-relation caption model")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", metavar="<subcommand>")
-
-    p = sub.add_parser("train-tokenizer", parents=[], help="fit a tokenizer")
-    p.add_argument("--corpus")
-    p.add_argument("--algo", choices=["unigram", "bpe", "word"], default=None)
-    p.add_argument("--vocab-size", type=int, dest="vocab_size")
-    p.add_argument("--merges", type=int)
-    p.add_argument("--min-freq", type=int, dest="min_freq")
-    p.add_argument("--max-words", type=int, dest="max_words")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    _add_config(p)
-    p.set_defaults(func=cmd_train_tokenizer)
-
-    p = sub.add_parser("encode", help="captions on stdin to pieces on stdout")
-    p.add_argument("--vocab")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    _add_config(p)
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("decode", help="pieces on stdin to captions on stdout")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    _add_config(p)
-    p.set_defaults(func=cmd_decode)
-
-    p = sub.add_parser("sweep", help="train and measure several vocab sizes")
-    p.add_argument("--corpus")
-    p.add_argument("--vocab-size", type=int, action="append", dest="vocab_size")
-    p.add_argument("--max-words", type=int, dest="max_words")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    _add_config(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("report", help="uniqueness of generated captions")
-    p.add_argument("--corpus")
-    p.add_argument("--generated")
-    p.add_argument("--max-words", type=int, dest="max_words")
-    p.add_argument("--out")
-    _add_config(p)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("params", help="parameter-count arithmetic")
-    p.add_argument("--vocab", type=int, action="append")
-    p.add_argument("--d-model", type=int, dest="d_model")
-    p.add_argument("--layers", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--d-ff", type=int, dest="d_ff")
-    p.add_argument("--d-in", type=int, dest="d_in")
-    p.add_argument("--geo-dim", type=int, dest="geo_dim")
-    p.add_argument("--out")
-    _add_config(p)
-    p.set_defaults(func=cmd_params)
-
-    p = sub.add_parser("train-lm", help="train the caption model on "
-                                        "synthetic scenes")
-    p.add_argument("--tokenizer")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--images", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--d-model", type=int, dest="d_model")
-    p.add_argument("--layers", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--d-ff", type=int, dest="d_ff")
-    p.add_argument("--geo-dim", type=int, dest="geo_dim")
-    p.add_argument("--d-in", type=int, dest="d_in")
-    p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--decay-every", type=int, dest="decay_every")
-    p.add_argument("--decay-factor", type=float, dest="decay_factor")
-    _add_config(p)
-    p.set_defaults(func=cmd_train_lm)
-
-    p = sub.add_parser("generate", help="decode captions from a checkpoint")
-    p.add_argument("--checkpoint")
-    p.add_argument("--tokenizer")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--images", type=int)
-    p.add_argument("--beam", type=int)
-    p.add_argument("--greedy", action="store_true", default=None,
-                   help="shorthand for --beam 1")
-    p.add_argument("--max-len", type=int, dest="max_len")
-    _add_config(p)
-    p.set_defaults(func=cmd_generate)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in command.options:
+            what, _, arg_type = _kind_of(opt)
+            p.add_argument(_flag(opt.name), dest=opt.name, type=arg_type, help=what,
+                           action="append" if opt.repeat else "store")
+        p.add_argument("--config", help="JSON file supplying defaults for any flag")
     return parser
 
 
@@ -487,11 +442,10 @@ def _setup_logging() -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         _setup_logging()
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
+        args = build_parser().parse_args(argv)
+        if args.subcommand is None:
             raise CliUsageError("a subcommand is required; see --help")
-        return args.func(args)
+        return COMMANDS[args.subcommand].run(_resolve(args))
     except (SubicapError, OSError, ValueError) as err:
         # ValueError covers contract violations raised by library calls
         # (bad vocab targets, empty sweep grids) — still one line, exit 2

@@ -16,9 +16,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, SubicapError
 
 DEFAULT_MAX_WORDS = 16
+
+
+def read_text(path: str | Path, error: type[SubicapError]) -> str:
+    """A file's UTF-8 text; bytes that do not decode raise `error`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not UTF-8 text: {err}") from None
 
 
 def normalize_text(text: str) -> str:
@@ -101,19 +109,19 @@ def load_corpus(path: str | Path, max_words: int = DEFAULT_MAX_WORDS) -> Corpus:
     A data line without a tab is rejected with its 1-based line number.
     """
     captions: list[Caption] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.startswith("#"):
-                continue
-            if "\t" not in line:
-                raise CorpusFormatError(
-                    f"line {lineno}: expected image_id<TAB>caption, got {line!r}"
-                )
-            image_id, raw = line.split("\t", 1)
-            captions.append(
-                Caption(image_id, truncate_words(normalize_text(raw), max_words))
+    # universal newlines: "\r\n" and "\r" arrive as "\n"
+    lines = read_text(path, CorpusFormatError).split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        if "\t" not in line:
+            raise CorpusFormatError(
+                f"line {lineno}: expected image_id<TAB>caption, got {line!r}"
             )
+        image_id, raw = line.split("\t", 1)
+        captions.append(
+            Caption(image_id, truncate_words(normalize_text(raw), max_words))
+        )
     return Corpus(captions)
 
 

@@ -33,6 +33,7 @@ run and once per loaded vocabulary.
 
 from __future__ import annotations
 
+import copy
 import math
 from array import array
 from collections import Counter
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Corpus, normalize_text
+from .corpus import Corpus, normalize_text, read_text
 from .errors import (
     OrphanContinuationError,
     OutOfInventoryError,
@@ -186,6 +187,16 @@ class SubwordVocab:
         if lat is None:
             lat = self._lattices[word] = build_lattice(word, self)
         return lat
+
+    def _rescored(self, scores: Sequence[float]) -> SubwordVocab:
+        """The same pieces with new scores, which the caller has validated.
+
+        The copy shares every piece-derived field, the lattice table too.
+        """
+        rescored = copy.copy(self)
+        rescored.scores = tuple(scores)
+        rescored.entries = tuple(zip((p for p, _ in self.entries), rescored.scores))
+        return rescored
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +393,14 @@ def _positional_substring_counts(corpus: Corpus) -> Counter[str]:
     return counts
 
 
+def coverage_floor(corpus: Corpus) -> int:
+    """How many single-character pieces a vocabulary of `corpus` must hold:
+    the unmarked form of every inventory character plus the marked form of
+    every character seen inside a word, as build_seed_vocab forces them."""
+    internal = {ch for word in corpus.word_counts for ch in word[1:]}
+    return len(corpus.char_inventory) + len(internal)
+
+
 def build_seed_vocab(corpus: Corpus, seed_size: int) -> SubwordVocab:
     """Frequent-substring seed.
 
@@ -474,8 +493,8 @@ def em_step(corpus: Corpus, vocab: SubwordVocab) -> tuple[SubwordVocab, float]:
     Returns the re-estimated vocabulary and the corpus log-likelihood under
     the INPUT scores (sum over word tokens of the log marginal over all
     segmentations). Zero expected counts are floored at a 1e-30 fraction of
-    the total before renormalizing, so every score stays finite. The
-    returned vocabulary shares the input's lattice table.
+    the total before renormalizing, so every score stays finite and <= 0.
+    The returned vocabulary shares the input's lattice table.
     """
     expected = [0.0] * vocab.size
     log_likelihood = 0.0
@@ -490,12 +509,7 @@ def em_step(corpus: Corpus, vocab: SubwordVocab) -> tuple[SubwordVocab, float]:
     floor = total_positive * _COUNT_FLOOR_FRACTION
     floored = [e if e > floor else floor for e in expected]
     total = sum(floored)
-    rescored = SubwordVocab([
-        (piece, math.log(e / total))
-        for (piece, _), e in zip(vocab.entries, floored)
-    ])
-    rescored._lattices = vocab._lattices
-    return rescored, log_likelihood
+    return vocab._rescored([math.log(e / total) for e in floored]), log_likelihood
 
 
 def _kept_pieces(corpus: Corpus, vocab: SubwordVocab, keep: int) -> set[str]:
@@ -568,13 +582,13 @@ def train_unigram(corpus: Corpus, config: TrainerConfig) -> SubwordVocab:
     smaller vocabulary; pieces cannot be invented.
     """
     target = config.target_vocab_size
-    vocab = build_seed_vocab(corpus, 20 * target)
-    n_protected = len(vocab.required_chars)
+    n_protected = coverage_floor(corpus)
     if target < n_protected + 1:
         raise ValueError(
-            f"target_vocab_size {target} is below the coverage floor "
-            f"{n_protected} + 1 single-character pieces"
+            f"vocabulary size {target} is below this corpus's floor of "
+            f"{n_protected + 1}: {n_protected} single-character pieces plus one"
         )
+    vocab = build_seed_vocab(corpus, 20 * target)
 
     while vocab.size > 1.1 * target:
         for _ in range(EM_SUBITERATIONS):
@@ -605,11 +619,7 @@ def save_vocab(vocab: SubwordVocab, path: str | Path) -> None:
 
 
 def load_vocab(path: str | Path) -> SubwordVocab:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise VocabFormatError(f"{path}: not UTF-8 text: {err}") from None
-    lines = text.splitlines()
+    lines = read_text(path, VocabFormatError).splitlines()
     if len(lines) < NUM_CONTROLS:
         raise VocabFormatError(f"{path}: fewer than {NUM_CONTROLS} lines")
     entries: list[tuple[str, float]] = []

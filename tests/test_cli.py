@@ -53,7 +53,7 @@ class TestTrainTokenizer:
         assert m["arguments"]["vocab_size"] == 60
         assert m["inputs"]["corpus"] == str(corpus_file)
         assert m["outputs"] == [str(vocab_file)]
-        assert m["seed"] == 0
+        assert m["seed"] is None
 
     def test_reruns_are_byte_identical(self, corpus_file, tmp_path, vocab_file):
         again = tmp_path / "again.tsv"
@@ -115,6 +115,15 @@ class TestTrainTokenizer:
         assert err.startswith("subicap: error:") and len(err.splitlines()) == 1
         assert "--vocab-size" in err and ">= 1" in err and k in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_vocab_size_below_floor_names_the_size(self, tmp_path, capsys):
+        rc = main(["train-tokenizer", "--corpus", str(bundled_corpus_path()),
+                   "--vocab-size", "5", "--out", str(tmp_path / "v.tsv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("subicap: error:") and len(err.splitlines()) == 1
+        assert "vocabulary size 5" in err and "floor of 52" in err
+        assert "target_vocab_size" not in err
 
     def test_bad_algo_via_config_fails(self, corpus_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -199,6 +208,48 @@ class TestConfigPrecedence:
         assert main(["encode", "--config", str(cfg)]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    def test_null_counts_as_absent(self, vocab_file, tmp_path):
+        out = tmp_path / "model.ckpt"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": None}))
+        assert main(["train-lm", "--tokenizer", str(vocab_file), "--out", str(out),
+                     "--steps", "1", "--images", "2", "--config", str(cfg)]) == 0
+        assert _manifest(out)["arguments"]["lr"] == 5e-4
+
+    @pytest.mark.parametrize("argv,config,flag", [
+        (["train-lm", "--tokenizer", "none.tsv", "--out", "o"], {"lr": "x"}, "--lr"),
+        (["train-lm", "--tokenizer", "none.tsv", "--out", "o"], {"d_model": 32.0},
+         "--d-model"),
+        (["train-lm", "--tokenizer", "none.tsv", "--out", "o"], {"d_ff": True},
+         "--d-ff"),
+        (["train-tokenizer", "--corpus", "none.tsv", "--vocab-size", "60",
+          "--out", "o"], {"max_words": "x"}, "--max-words"),
+        (["train-tokenizer", "--corpus", "none.tsv", "--out", "o"],
+         {"algo": "bpe", "merges": "5"}, "--merges"),
+        (["sweep", "--corpus", "none.tsv", "--out", "o"], {"vocab_size": 300},
+         "--vocab-size"),
+        (["sweep", "--corpus", "none.tsv", "--out", "o", "--vocab-size", "0"], None,
+         "--vocab-size"),
+        (["params"], {"vocab": 300}, "--vocab"),
+        (["params"], {"vocab": []}, "--vocab"),
+        (["generate", "--checkpoint", "none.ckpt", "--tokenizer", "none.tsv",
+          "--out", "o"], {"max_len": "5"}, "--max-len"),
+        (["encode", "--vocab", "none.tsv"], {"input": 5}, "--input"),
+    ])
+    def test_config_values_are_checked_like_flags(self, tmp_path, capsys,
+                                                  monkeypatch, argv, config, flag):
+        # no input file exists: the check must come before any is read
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            Path("cfg.json").write_text(json.dumps(config))
+            argv = argv + ["--config", "cfg.json"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"subicap: error: {flag} must be ")
+        assert len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            (["cfg.json"] if config is not None else [])
+
 
 class TestParamsCommand:
     def test_prints_published_totals(self, capsys):
@@ -277,17 +328,15 @@ class TestModelCommands:
         assert len(lines) == 2
         assert _manifest(out)["arguments"]["beam"] == 2
 
-    def test_greedy_flag_is_beam_one(self, checkpoint, vocab_file, tmp_path):
-        a = tmp_path / "greedy.txt"
-        b = tmp_path / "beam1.txt"
+    def test_greedy_flag_is_gone(self, checkpoint, vocab_file, tmp_path, capsys):
+        # --beam 1 is the one way to ask for greedy decoding
+        out = tmp_path / "greedy.txt"
         assert main(["generate", "--checkpoint", str(checkpoint),
-                     "--tokenizer", str(vocab_file), "--out", str(a),
-                     "--images", "2", "--greedy", "--max-len", "6"]) == 0
-        assert main(["generate", "--checkpoint", str(checkpoint),
-                     "--tokenizer", str(vocab_file), "--out", str(b),
-                     "--images", "2", "--beam", "1", "--max-len", "6"]) == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert _manifest(a)["arguments"]["beam"] == 1
+                     "--tokenizer", str(vocab_file), "--out", str(out),
+                     "--images", "2", "--greedy", "--max-len", "6"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("subicap: error:") and "--greedy" in err
+        assert not out.exists()
 
     def test_beam_defaults_to_two(self, checkpoint, vocab_file, tmp_path):
         out = tmp_path / "default_beam.txt"

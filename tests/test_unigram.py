@@ -6,6 +6,8 @@ recursions have an exact oracle.
 """
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from subicap.unigram import (
     TrainerConfig,
     build_lattice,
     build_seed_vocab,
+    coverage_floor,
     detokenize,
     em_step,
     encode,
@@ -474,6 +477,16 @@ def tiny_corpus():
     return Corpus.from_texts(texts)
 
 
+def _tok_scaled_corpus(seed):
+    """The training corpus of the benchmark's tok-scaled workload."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import corpus_gen
+    finally:
+        sys.path.pop(0)
+    return Corpus.from_texts(corpus_gen.generate(seed, 0)[0])
+
+
 class TestTrainUnigram:
     def test_reaches_exact_target(self, tiny_corpus):
         vocab = train_unigram(tiny_corpus, TrainerConfig(target_vocab_size=40))
@@ -503,6 +516,24 @@ class TestTrainUnigram:
     def test_target_below_coverage_floor_rejected(self, tiny_corpus):
         with pytest.raises(ValueError):
             train_unigram(tiny_corpus, TrainerConfig(target_vocab_size=2))
+
+    def test_coverage_floor_counts_the_protected_singles(self):
+        desk = load_corpus(bundled_corpus_path())
+        vocab = train_unigram(desk, TrainerConfig(target_vocab_size=300))
+        assert coverage_floor(desk) == len(vocab.required_chars) == 51
+        # pruning never drops a protected single, so the seed's count is the
+        # trained vocabulary's
+        tok_scaled = _tok_scaled_corpus(seed=1)
+        assert coverage_floor(tok_scaled) == \
+            len(build_seed_vocab(tok_scaled, 0).required_chars)
+
+    def test_floor_is_checked_before_seeding(self, monkeypatch):
+        def no_seed(corpus, seed_size):
+            raise AssertionError("build_seed_vocab called")
+
+        monkeypatch.setattr(unigram, "build_seed_vocab", no_seed)
+        with pytest.raises(ValueError, match="vocabulary size 51 .* floor of 52"):
+            train_unigram(load_corpus(bundled_corpus_path()), TrainerConfig(51))
 
     def test_saturates_when_corpus_is_small(self):
         corpus = Corpus.from_texts(["ab ab"])
