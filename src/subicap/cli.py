@@ -9,7 +9,8 @@ configs; only manifest timestamp/duration fields may differ.
 One table, COMMANDS, declares every subcommand: its help, its cmd_*
 function and its options, each an Option(name, kind, default), maybe
 repeatable, with flag --name ('-' for '_'). A kind is int, COUNT (an
-integer >= 1), float, str or a tuple of choices; a default may be REQUIRED.
+integer >= 1), NATURAL (an integer >= 0), float, str or a tuple of choices;
+a default may be REQUIRED.
 The parser, the --config JSON file, the defaults and the checks all come
 from it. Precedence: flag, then config file (null counts as absent), then
 default; every resolved value is checked against its kind, from whichever
@@ -86,6 +87,7 @@ def _write_manifest(primary_out: Path, subcommand: str, arguments: dict,
 # options (declared in COMMANDS, below the commands)
 
 COUNT = "count"  # kind: an integer >= 1
+NATURAL = "natural"  # kind: an integer >= 0
 REQUIRED = "required"  # default: the flag or the config file must set it
 
 # kind -> (what a value must be, its test, the argparse type that converts a
@@ -94,6 +96,7 @@ REQUIRED = "required"  # default: the flag or the config file must set it
 _KINDS = {
     int: ("an integer", lambda v: type(v) is int, int),
     COUNT: ("an integer >= 1", lambda v: type(v) is int and v >= 1, int),
+    NATURAL: ("an integer >= 0", lambda v: type(v) is int and v >= 0, int),
     float: ("a number", lambda v: type(v) in (int, float), float),
     str: ("a string", lambda v: type(v) is str, None),
 }
@@ -371,7 +374,7 @@ COMMANDS: dict[str, Command] = {
         Option("corpus", str, REQUIRED),
         Option("algo", ("unigram", "bpe", "word"), "unigram"),
         # --vocab-size is required by --algo unigram, --merges by bpe
-        Option("vocab_size", COUNT), Option("merges", int),
+        Option("vocab_size", COUNT), Option("merges", NATURAL),
         Option("min_freq", COUNT, 5), _MAX_WORDS, Option("out", str, REQUIRED),
     )),
     "encode": Command("captions on stdin to pieces on stdout", cmd_encode, (
@@ -396,14 +399,14 @@ COMMANDS: dict[str, Command] = {
     )),
     "train-lm": Command("train the caption model on synthetic scenes", cmd_train_lm, (
         Option("tokenizer", str, REQUIRED), Option("out", str, REQUIRED),
-        Option("seed", int, 0), Option("images", COUNT, 10), Option("steps", COUNT, 300),
+        Option("seed", NATURAL, 0), Option("images", COUNT, 10), Option("steps", COUNT, 300),
         *_model_dims(32, 2, 2, 64, 16, 8),
         Option("max_len", COUNT, 32), Option("lr", float, 5e-4),
         Option("decay_every", int, 500), Option("decay_factor", float, 0.8),
     )),
     "generate": Command("decode captions from a checkpoint", cmd_generate, (
         Option("checkpoint", str, REQUIRED), Option("tokenizer", str, REQUIRED),
-        Option("out", str, REQUIRED), Option("seed", int, 0),
+        Option("out", str, REQUIRED), Option("seed", NATURAL, 0),
         Option("images", COUNT, 10), Option("beam", COUNT, 2),
         Option("max_len", int),  # default: the checkpoint's limit
     )),

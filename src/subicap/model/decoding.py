@@ -1,24 +1,22 @@
-"""Greedy and length-normalized beam decoding.
+"""Length-normalized beam search, the one search for every width.
 
-Both search over next-token log probabilities for prefixes of token ids
-that start with <bos>, so they can drive the caption model or any
-hand-built toy scorer. Greedy asks a StepFn for one prefix at a time. The
-beam asks a RowsFn for all its live prefixes at once: an (L, t) int array
-of L prefixes of one length t in, an (L, V) array of log probabilities out.
-model_rows_fn runs the decoder once over all L rows. beam_step_decode
-stacks a per-prefix StepFn's rows into a RowsFn, which is how toy tables
-reach the same search.
+The search extends prefixes of token ids that start with <bos>. At each
+step it asks a RowsFn for all its live prefixes at once: an (L, t) int
+array of L prefixes of one length t in, an (L, V) array of next-token log
+probabilities out. model_rows_fn runs the caption model's decoder once over
+all L rows; any hand-built toy scorer can drive the same search.
 
 Hypotheses are compared by total log probability divided by the number of
 generated tokens (<eos> included when emitted); ties break toward the
 lexicographically smaller id sequence. Within a step, candidates rank by
 score descending, then by token sequence ascending. The search keeps its
-live rows sorted by prefix, so a candidate's flat index row * V + token
-orders candidates exactly as their sequences do, and ranking by (-score,
-flat index) is the tie rule. Beam width 1 reproduces greedy decoding
-exactly: at every step the single kept candidate is the argmax extension,
-with the same first-index tie rule. A candidate scored -inf is never kept,
-so the caption model's masked tokens never enter a hypothesis.
+live prefixes sorted, so a candidate's flat index row * V + token orders
+candidates exactly as their sequences do, and ranking by (-score, flat
+index) is the tie rule. Width 1 is greedy decoding exactly: at every step
+the single kept candidate is the argmax extension, with the first index
+winning a tie, so the result is the argmax chain. A candidate scored -inf
+is never kept, so the caption model's masked tokens never enter a
+hypothesis.
 """
 
 from __future__ import annotations
@@ -36,11 +34,10 @@ from .transformer import (
     ModelConfig,
     _check_length,
     _decoder_fwd,
-    decoder_forward,
+    decoder_forward,  # not called here; perfbench's tracer wraps it by this module's name
     encoder_forward,
 )
 
-StepFn = Callable[[tuple[int, ...]], np.ndarray]
 RowsFn = Callable[[np.ndarray], np.ndarray]
 
 
@@ -74,28 +71,17 @@ def _log_probs(logits: np.ndarray, length: int,
     return logp
 
 
-def model_step_fn(q: np.ndarray, params, cfg: ModelConfig,
-                  first_banned: np.ndarray | None = None) -> StepFn:
-    """Next-token scorer over the encoded regions q, one decoder pass per
-    prefix.
+def model_rows_fn(q: np.ndarray, params, cfg: ModelConfig,
+                  first_banned: np.ndarray | None = None) -> RowsFn:
+    """Next-token scorer over the encoded regions q: one decoder pass over
+    L copies of q for L prefixes, and only each row's last position goes
+    through the output head.
 
     <pad> and <bos> score -inf, and so do the ids where the bool mask
     first_banned is True when they would open the caption. The other
     entries keep the model's log-softmax, not renormalized, so a
     hypothesis's logprob is the model's probability of its tokens.
     """
-
-    def step(prefix: tuple[int, ...]) -> np.ndarray:
-        logits = decoder_forward(q, prefix, params, cfg)
-        return _log_probs(logits[-1], len(prefix), first_banned)
-
-    return step
-
-
-def model_rows_fn(q: np.ndarray, params, cfg: ModelConfig,
-                  first_banned: np.ndarray | None = None) -> RowsFn:
-    """model_step_fn for L prefixes in one decoder pass over L copies of q;
-    only each row's last position goes through the output head."""
 
     def rows(prefixes: np.ndarray) -> np.ndarray:
         n_rows, t = prefixes.shape
@@ -107,22 +93,6 @@ def model_rows_fn(q: np.ndarray, params, cfg: ModelConfig,
     return rows
 
 
-def greedy_step_decode(step_fn: StepFn, max_len: int) -> Hypothesis:
-    """Argmax chain until <eos> or max_len generated tokens."""
-    prefix: tuple[int, ...] = (BOS_ID,)
-    logprob = 0.0
-    content: list[int] = []
-    for _ in range(max_len):
-        logp = step_fn(prefix)
-        tok = int(np.argmax(logp))
-        logprob += float(logp[tok])
-        if tok == EOS_ID:
-            return Hypothesis(tuple(content), logprob, finished=True)
-        content.append(tok)
-        prefix = prefix + (tok,)
-    return Hypothesis(tuple(content), logprob, finished=False)
-
-
 def beam_rows_decode(rows_fn: RowsFn, beam: int, max_len: int) -> Hypothesis:
     """Beam search keeping `beam` live prefixes, with one rows_fn call per
     step over all of them; see the module docstring for the ranking."""
@@ -130,39 +100,32 @@ def beam_rows_decode(rows_fn: RowsFn, beam: int, max_len: int) -> Hypothesis:
         raise ValueError("beam width must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    seqs = np.full((1, 1), BOS_ID, dtype=np.int64)  # live rows, sorted
-    scores = np.zeros(1)
+    live: list[tuple[tuple[int, ...], float]] = [((BOS_ID,), 0.0)]  # sorted
     finished: list[Hypothesis] = []
     for _ in range(max_len):
-        cand = (scores[:, None] + rows_fn(seqs)).ravel()
+        scores = np.array([score for _, score in live])
+        cand = (scores[:, None] + rows_fn(np.array([seq for seq, _ in live]))).ravel()
         k = min(beam, cand.size)
-        kth = cand[np.argpartition(cand, -k)[-k]]  # its ties are kept too
-        pick = np.flatnonzero((cand >= kth) & (cand > -np.inf))
-        pick = pick[np.lexsort((pick, -cand[pick]))][:beam]
-        vocab = cand.size // len(seqs)
-        rows, toks = np.divmod(pick, vocab)
-        ends = toks == EOS_ID
-        finished += [Hypothesis(tuple(seqs[r, 1:].tolist()), score, True)
-                     for r, score in zip(rows[ends].tolist(), cand[pick[ends]].tolist())]
-        live = np.sort(pick[~ends])  # flat index order is prefix order
-        rows, toks = np.divmod(live, vocab)
-        seqs, scores = np.column_stack((seqs[rows], toks)), cand[live]
-        if not len(live):
+        pick = np.flatnonzero(cand >= np.partition(cand, -k)[-k])  # kth's ties too
+        top = cand[pick]
+        order = np.lexsort((pick, -top))[:beam]
+        vocab = cand.size // len(live)
+        kept = []
+        for i, score in zip(pick[order].tolist(), top[order].tolist()):
+            if score == -np.inf:  # ranked last, so only -inf follow
+                break
+            row, tok = divmod(i, vocab)
+            seq = live[row][0]
+            if tok == EOS_ID:
+                finished.append(Hypothesis(seq[1:], score, True))
+            else:
+                kept.append((i, seq + (tok,), score))
+        kept.sort()  # flat index order is prefix order
+        live = [(seq, score) for _, seq, score in kept]
+        if not live:
             break
-    finished += [Hypothesis(tuple(seq), score, False)
-                 for seq, score in zip(seqs[:, 1:].tolist(), scores.tolist())]
+    finished += [Hypothesis(seq[1:], score, False) for seq, score in live]
     return max(finished, key=lambda h: (h.norm_score, -len(h.token_ids), h.token_ids))
-
-
-def beam_step_decode(step_fn: StepFn, beam: int, max_len: int) -> Hypothesis:
-    """beam_rows_decode over a per-prefix step function, called per row."""
-    return beam_rows_decode(
-        lambda prefixes: np.stack([step_fn(tuple(p)) for p in prefixes.tolist()]),
-        beam, max_len)
-
-
-def greedy_decode(q: np.ndarray, params, cfg: ModelConfig, max_len: int) -> Hypothesis:
-    return greedy_step_decode(model_step_fn(q, params, cfg), max_len)
 
 
 def beam_search(
@@ -180,9 +143,7 @@ def caption_regions(
     first_banned: np.ndarray | None = None,
 ) -> Hypothesis:
     """Encode one image's regions and decode a caption hypothesis; see
-    model_step_fn for first_banned."""
+    model_rows_fn for first_banned."""
     max_len = max_len if max_len is not None else cfg.max_seq_len
     q = encoder_forward(regions, params, cfg)
-    if beam == 1:
-        return greedy_step_decode(model_step_fn(q, params, cfg, first_banned), max_len)
     return beam_rows_decode(model_rows_fn(q, params, cfg, first_banned), beam, max_len)

@@ -14,19 +14,14 @@ import time
 import conftest
 import numpy as np
 import pytest
+from conftest import greedy_reference, model_step, rows_of
 
 from subicap.analysis import measure_tokenizer, param_count
 from subicap.baselines import bpe_tokenize, oov_rate, train_bpe, train_word_vocab
 from subicap.cli import main
 from subicap.corpus import Corpus, bundled_corpus_path, load_corpus
 from subicap.model import decoding, synthetic, training, transformer
-from subicap.model.decoding import (
-    Hypothesis,
-    beam_search,
-    beam_step_decode,
-    greedy_decode,
-    greedy_step_decode,
-)
+from subicap.model.decoding import Hypothesis, beam_rows_decode, beam_search
 from subicap.model.geometry import Region, RegionSet, fused_attention
 from subicap.model.transformer import (
     EOS_ID,
@@ -374,7 +369,7 @@ def test_11_beam_search():
         params = init_params(cfg, seed=seed)
         (regions, _), = _desk_batch(rng, cfg, n_items=1)
         q = encoder_forward(regions, params, cfg)
-        g = greedy_decode(q, params, cfg, max_len=6)
+        g = greedy_reference(model_step(q, params, cfg), max_len=6)
         b = beam_search(q, params, cfg, beam=1, max_len=6)
         assert b.token_ids == g.token_ids, seed
         assert b.finished == g.finished
@@ -404,8 +399,9 @@ def test_11_beam_search():
     walk((1,), [], 0.0, 5)
     optimum = max(complete,
                   key=lambda h: (h.norm_score, -len(h.token_ids), h.token_ids))
-    beam = beam_step_decode(_toy_table_step(table), beam=2, max_len=5)
-    greedy = greedy_step_decode(_toy_table_step(table), max_len=5)
+    beam = beam_rows_decode(rows_of(_toy_table_step(table)), beam=2, max_len=5)
+    greedy = greedy_reference(_toy_table_step(table), max_len=5)
+    assert beam_rows_decode(rows_of(_toy_table_step(table)), beam=1, max_len=5) == greedy
     assert beam.token_ids == optimum.token_ids == (4,)
     assert beam.logprob == pytest.approx(optimum.logprob, abs=1e-12)
     assert beam.logprob == pytest.approx(math.log(0.36))

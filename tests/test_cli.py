@@ -235,6 +235,17 @@ class TestConfigPrecedence:
         (["generate", "--checkpoint", "none.ckpt", "--tokenizer", "none.tsv",
           "--out", "o"], {"max_len": "5"}, "--max-len"),
         (["encode", "--vocab", "none.tsv"], {"input": 5}, "--input"),
+        (["train-lm", "--tokenizer", "none.tsv", "--out", "o", "--seed", "-1"], None,
+         "--seed"),
+        (["train-lm", "--tokenizer", "none.tsv", "--out", "o"], {"seed": -1}, "--seed"),
+        (["generate", "--checkpoint", "none.ckpt", "--tokenizer", "none.tsv",
+          "--out", "o", "--seed", "-1"], None, "--seed"),
+        (["generate", "--checkpoint", "none.ckpt", "--tokenizer", "none.tsv",
+          "--out", "o"], {"seed": -1}, "--seed"),
+        (["train-tokenizer", "--corpus", "none.tsv", "--algo", "bpe", "--out", "o",
+          "--merges", "-3"], None, "--merges"),
+        (["train-tokenizer", "--corpus", "none.tsv", "--algo", "bpe", "--out", "o"],
+         {"merges": -3}, "--merges"),
     ])
     def test_config_values_are_checked_like_flags(self, tmp_path, capsys,
                                                   monkeypatch, argv, config, flag):

@@ -1,25 +1,24 @@
-"""Greedy and beam decoding.
+"""The beam search, at every width.
 
-The decoders are generic over a step function (prefix -> log probabilities),
-so tiny hand-built and randomly drawn distributions serve as exact oracles:
-every complete hypothesis of a short problem can be enumerated outright.
+The search is generic over a scorer of live prefixes, so tiny hand-built
+and randomly drawn per-prefix distributions (conftest.rows_of adapts them)
+serve as exact oracles: every complete hypothesis of a short problem can be
+enumerated outright, and width 1 must equal conftest.greedy_reference.
 """
 
 import math
 
 import numpy as np
 import pytest
+from conftest import greedy_reference, log_softmax, model_step, rows_of
 
 from subicap.model import decoding
 from subicap.model.decoding import (
     Hypothesis,
+    beam_rows_decode,
     beam_search,
-    beam_step_decode,
     caption_regions,
-    greedy_decode,
-    greedy_step_decode,
     model_rows_fn,
-    model_step_fn,
 )
 from subicap.model.geometry import Region, RegionSet
 from subicap.model.transformer import (
@@ -27,6 +26,7 @@ from subicap.model.transformer import (
     EOS_ID,
     PAD_ID,
     ModelConfig,
+    _decoder_fwd,
     decoder_forward,
     encoder_forward,
     init_params,
@@ -75,6 +75,10 @@ def _table_step_fn(table, vocab):
     return step
 
 
+def decode(step_fn, beam, max_len):
+    return beam_rows_decode(rows_of(step_fn), beam, max_len)
+
+
 def enumerate_best(step_fn, vocab, max_len):
     """Brute force over every complete hypothesis, ranked like the beam:
     normalized score, then shorter content, then token ids."""
@@ -120,7 +124,7 @@ def searched_steps(step_fn, beam, max_len):
         seen.append(prefix)
         return step_fn(prefix)
 
-    hyp = beam_step_decode(step, beam, max_len)
+    hyp = decode(step, beam, max_len)
     return hyp, [[p for p in seen if len(p) == t] for t in range(1, max_len + 1)]
 
 
@@ -153,25 +157,27 @@ class TestHypothesis:
 
 
 class TestGreedyStepDecode:
+    """Width 1 follows the argmax chain."""
+
     def test_follows_argmax_chain(self):
         table = {
             (1,): {3: 0.7, 4: 0.3},
             (1, 3): {4: 0.6, 2: 0.4},
             (1, 3, 4): {2: 0.9, 3: 0.1},
         }
-        hyp = greedy_step_decode(_table_step_fn(table, 5), max_len=10)
+        hyp = decode(_table_step_fn(table, 5), beam=1, max_len=10)
         assert hyp.token_ids == (3, 4)
         assert hyp.finished
         assert hyp.logprob == pytest.approx(math.log(0.7 * 0.6 * 0.9))
 
     def test_stops_at_max_len(self):
         table = {(1,) + (3,) * k: {3: 1.0} for k in range(10)}
-        hyp = greedy_step_decode(_table_step_fn(table, 5), max_len=4)
+        hyp = decode(_table_step_fn(table, 5), beam=1, max_len=4)
         assert hyp.token_ids == (3, 3, 3, 3)
         assert not hyp.finished
 
     def test_immediate_eos(self):
-        hyp = greedy_step_decode(_table_step_fn({(1,): {2: 0.9, 3: 0.1}}, 5), 8)
+        hyp = decode(_table_step_fn({(1,): {2: 0.9, 3: 0.1}}, 5), beam=1, max_len=8)
         assert hyp.token_ids == ()
         assert hyp.finished
         assert hyp.logprob == pytest.approx(math.log(0.9))
@@ -181,8 +187,8 @@ class TestBeamEqualsGreedyAtWidthOne:
     def test_on_100_random_step_functions(self):
         for seed in range(100):
             step = _random_step_fn(seed)
-            g = greedy_step_decode(_random_step_fn(seed), max_len=6)
-            b = beam_step_decode(step, beam=1, max_len=6)
+            g = greedy_reference(_random_step_fn(seed), max_len=6)
+            b = decode(step, beam=1, max_len=6)
             assert b.token_ids == g.token_ids, seed
             assert b.finished == g.finished
             assert b.logprob == pytest.approx(g.logprob, abs=1e-12)
@@ -192,7 +198,7 @@ class TestBeamEqualsGreedyAtWidthOne:
             rng = np.random.default_rng(seed)
             params = init_params(CFG, seed=seed)
             q = encoder_forward(_random_regions(rng), params, CFG)
-            g = greedy_decode(q, params, CFG, max_len=6)
+            g = greedy_reference(model_step(q, params, CFG), max_len=6)
             b = beam_search(q, params, CFG, beam=1, max_len=6)
             assert b.token_ids == g.token_ids
             assert b.logprob == pytest.approx(g.logprob, abs=1e-12)
@@ -212,8 +218,9 @@ class TestBeamFindsBetterSequences:
             (1, 3): {2: 0.5, 3: 0.25, 4: 0.25},
             (1, 4): {2: 0.9, 3: 0.05, 4: 0.05},
         }
-        greedy = greedy_step_decode(_table_step_fn(table, 5), max_len=5)
-        beam = beam_step_decode(_table_step_fn(table, 5), beam=2, max_len=5)
+        greedy = greedy_reference(_table_step_fn(table, 5), max_len=5)
+        beam = decode(_table_step_fn(table, 5), beam=2, max_len=5)
+        assert decode(_table_step_fn(table, 5), beam=1, max_len=5) == greedy
         assert greedy.token_ids == (3,)
         assert greedy.logprob == pytest.approx(math.log(0.30))
         assert beam.token_ids == (4,)
@@ -229,7 +236,7 @@ class TestBeamFindsBetterSequences:
             for seed in range(25):
                 step = make_step(seed)
                 want = enumerate_best(make_step(seed), vocab=5, max_len=3)
-                got = beam_step_decode(step, beam=1000, max_len=3)
+                got = decode(step, beam=1000, max_len=3)
                 assert got.token_ids == want.token_ids, seed
                 assert got.finished == want.finished
                 assert got.logprob == pytest.approx(want.logprob, abs=1e-12)
@@ -243,7 +250,7 @@ class TestBeamFindsBetterSequences:
             (1, 4): {4: 0.4, 2: 0.1, 3: 0.5},
             (1, 4, 4): {2: 0.4, 3: 0.3, 4: 0.3},
         }
-        beam = beam_step_decode(_table_step_fn(table, 5), beam=2, max_len=3)
+        beam = decode(_table_step_fn(table, 5), beam=2, max_len=3)
         assert math.exp(beam.norm_score) > math.exp(math.log(0.09) / 2)
 
 
@@ -313,11 +320,8 @@ class TestBatchedRows:
                 prefixes = rng.integers(0, CFG.vocab_size, size=(1 + seed % 4, t))
                 prefixes[:, 0] = BOS_ID
                 got = model_rows_fn(q, params, CFG, banned)(prefixes)
-                for row, prefix in zip(got, prefixes):
-                    want = _log_softmax(decoder_forward(q, prefix, params, CFG)[-1])
-                    want[[PAD_ID, BOS_ID]] = -np.inf
-                    if t == 1:
-                        want[banned] = -np.inf
+                for row, prefix in zip(got, prefixes.tolist()):
+                    want = model_step(q, params, CFG, banned)(tuple(prefix))
                     finite = np.isfinite(want)
                     assert np.array_equal(np.isfinite(row), finite)
                     assert np.max(np.abs(row[finite] - want[finite])) <= 1e-12
@@ -328,7 +332,7 @@ class TestBatchedRows:
         with pytest.raises(ValueError, match="max_seq_len"):
             model_rows_fn(q, params, CFG)(np.ones((2, CFG.max_seq_len + 1), int))
 
-    @pytest.mark.parametrize("beam", [2, 4])
+    @pytest.mark.parametrize("beam", [1, 2, 4])
     def test_model_runs_once_per_search_step(self, beam, monkeypatch):
         """However many beams are live, each step is one decoder pass over
         all of them, in prefix order; the per-prefix decoder never runs."""
@@ -360,30 +364,32 @@ class TestBeamValidation:
     def test_rejects_bad_widths(self):
         step = _random_step_fn(0)
         with pytest.raises(ValueError):
-            beam_step_decode(step, beam=0, max_len=5)
+            decode(step, beam=0, max_len=5)
         with pytest.raises(ValueError):
-            beam_step_decode(step, beam=2, max_len=0)
-
-
-def _log_softmax(logits):
-    z = logits - logits.max()
-    return z - math.log(np.exp(z).sum())
+            decode(step, beam=2, max_len=0)
+        with pytest.raises(ValueError):
+            decode(step, beam=1, max_len=0)
 
 
 class TestModelStepFn:
+    """model_rows_fn on one prefix."""
+
     def test_returns_normalized_log_probs(self):
         """The model's log-softmax over every id, with <pad> and <bos>
         masked to -inf afterwards, not renormalized."""
         rng = np.random.default_rng(2)
         params = init_params(CFG, seed=2)
         q = encoder_forward(_random_regions(rng), params, CFG)
-        step = model_step_fn(q, params, CFG)
-        logp = step((1, 5, 6))
-        want = _log_softmax(decoder_forward(q, (1, 5, 6), params, CFG)[-1])
+        prefix = np.array([[1, 5, 6]])
+        logp = model_rows_fn(q, params, CFG)(prefix)[0]
+        h, _ = _decoder_fwd(q, prefix, None, params, CFG)
+        want = log_softmax(h[-1] @ params["out.W"])
         assert logp.shape == (CFG.vocab_size,)
         assert np.exp(want).sum() == pytest.approx(1.0)
         assert logp[PAD_ID] == logp[BOS_ID] == -np.inf
         assert np.array_equal(logp[EOS_ID:], want[EOS_ID:])
+        per_prefix = log_softmax(decoder_forward(q, (1, 5, 6), params, CFG)[-1])
+        assert np.max(np.abs(logp[EOS_ID:] - per_prefix[EOS_ID:])) <= 1e-12
 
     def test_first_banned_masks_the_first_position_only(self):
         rng = np.random.default_rng(3)
@@ -391,13 +397,14 @@ class TestModelStepFn:
         q = encoder_forward(_random_regions(rng), params, CFG)
         banned = np.zeros(CFG.vocab_size, dtype=bool)
         banned[[4, 6]] = True
-        plain = model_step_fn(q, params, CFG)
-        masked = model_step_fn(q, params, CFG, banned)
-        first = masked((BOS_ID,))
+        plain = model_rows_fn(q, params, CFG)
+        masked = model_rows_fn(q, params, CFG, banned)
+        first = masked(np.array([[BOS_ID]]))[0]
         assert np.all(first[banned] == -np.inf)
         keep = ~banned
-        assert np.array_equal(first[keep], plain((BOS_ID,))[keep])
-        assert np.array_equal(masked((BOS_ID, 4)), plain((BOS_ID, 4)))
+        assert np.array_equal(first[keep], plain(np.array([[BOS_ID]]))[0][keep])
+        later = np.array([[BOS_ID, 4]])
+        assert np.array_equal(masked(later), plain(later))
 
 
 class TestMaskedDecoding:
@@ -420,7 +427,7 @@ class TestMaskedDecoding:
                 assert hyp.token_ids[:1] in ((), (5,))
                 ids = (BOS_ID,) + hyp.token_ids
                 targets = hyp.token_ids + ((EOS_ID,) if hyp.finished else ())
-                logp = np.array([_log_softmax(row) for row in
+                logp = np.array([log_softmax(row) for row in
                                  decoder_forward(q, ids, params, CFG)])
                 assert hyp.logprob == pytest.approx(
                     sum(logp[t, tok] for t, tok in enumerate(targets)), abs=1e-9)
@@ -438,7 +445,7 @@ class TestMaskedDecoding:
             out[[0, 1]] = -np.inf
             return out
 
-        hyp = beam_step_decode(step, beam=5, max_len=3)
+        hyp = decode(step, beam=5, max_len=3)
         assert math.isfinite(hyp.logprob)
         assert not any({0, 1} & set(prefix[1:]) for prefix in seen)
 
@@ -450,7 +457,7 @@ class TestCaptionRegions:
         regions = _random_regions(rng)
         a = caption_regions(regions, params, CFG, beam=1, max_len=5)
         q = encoder_forward(regions, params, CFG)
-        b = greedy_decode(q, params, CFG, max_len=5)
+        b = greedy_reference(model_step(q, params, CFG), max_len=5)
         assert a.token_ids == b.token_ids
 
     def test_respects_max_len(self):
