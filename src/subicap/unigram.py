@@ -20,15 +20,18 @@ for coverage are never pruned. All loops accumulate in corpus order, so
 results are bitwise reproducible.
 
 A lattice depends only on the piece set, not on the scores, so each piece
-set has one lattice table: per distinct word, the (start, end, piece id) of
-every match as int arrays; scores are read from the vocabulary when the
-table is used. A vocabulary fills its table lazily, one word on first use.
-em_step hands the re-scored vocabulary the same table (same pieces, same
-order); prune_vocab derives the survivors' table by filtering the spans and
-renumbering them, keeping their order, so every sum runs in the same order
-as over a freshly built lattice. EM, the pruning loss scans, Viterbi and
-encode all read the table, so a word's lattice is built once per training
-run and once per loaded vocabulary.
+set has one lattice table over the training words: the (word, start, end,
+piece id) of every match as flat int arrays in (word, start, end) order,
+from one build_lattice call per distinct word. em_step hands the re-scored
+vocabulary the same table; prune_vocab filters its spans to the survivors
+and renumbers them, keeping their order. EM's forward and backward sums
+and pruning's best path without each piece run as array passes over the
+table, one step per character position across all words, with
+np.logaddexp / np.maximum reduceat; expected counts are one np.bincount in
+span order. These add in the order a scalar walk adds, so results are the
+same to the bit; for that the posterior's exp is libm's math.exp, since
+np.exp's SIMD kernel rounds differently. The tie-broken best path stays on
+the one scalar Viterbi, and encode memoises it per word.
 """
 
 from __future__ import annotations
@@ -38,8 +41,11 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .corpus import Corpus, normalize_text, read_text
 from .errors import (
@@ -54,8 +60,6 @@ PAD, BOS, EOS = "<pad>", "<bos>", "<eos>"
 CONTROL_TOKENS = (PAD, BOS, EOS)
 PAD_ID, BOS_ID, EOS_ID = 0, 1, 2
 NUM_CONTROLS = 3
-
-NEG_INF = float("-inf")
 
 # training recipe: seed with 20x the target, pieces of at most 16 content
 # characters (the marker is free) seen at least twice; run 2 EM steps per
@@ -121,15 +125,16 @@ class SubwordVocab:
     required_chars holds the protected single-character pieces (both marker
     forms) that pruning must keep.
 
-    The lattice table (see lattice()) starts empty and gains one entry per
-    word on first use. em_step shares it with the vocabulary it returns and
-    prune_vocab filters it into the survivors' table. It is derived data,
-    a pure function of the pieces, so the vocabulary stays immutable in
+    The lattice table (see table()) is built on first use over the words
+    asked for. em_step shares it with the vocabulary it returns and
+    prune_vocab filters it into the survivors' table. The segmentation
+    memo maps a word to its best (pieces, score). Both are derived data,
+    pure functions of the entries, so the vocabulary stays immutable in
     every observable way.
     """
 
     __slots__ = ("entries", "scores", "piece_to_id", "required_chars",
-                 "max_content_length", "_lattices")
+                 "max_content_length", "_table", "_segmentations")
 
     def __init__(self, entries: Sequence[tuple[str, float]]):
         ents = tuple(entries)
@@ -150,7 +155,8 @@ class SubwordVocab:
             p for (p, _), n in zip(ents, lengths) if n == 1
         )
         self.max_content_length: int = max(lengths, default=1)
-        self._lattices: dict[str, Lattice] = {}
+        self._table: LatticeTable | None = None
+        self._segmentations: dict[str, tuple[tuple[str, ...], float]] = {}
 
     @property
     def size(self) -> int:
@@ -182,20 +188,30 @@ class SubwordVocab:
         return self.entries[token_id - NUM_CONTROLS][0]
 
     def lattice(self, word: str) -> Lattice:
-        """The lattice of `word` from this piece set's table, built on first use."""
-        lat = self._lattices.get(word)
-        if lat is None:
-            lat = self._lattices[word] = build_lattice(word, self)
-        return lat
+        """The lattice of `word`: its rows of the table if the table holds
+        the word, else built."""
+        table = self._table
+        row = None if table is None else table.rows.get(word)
+        return build_lattice(word, self) if row is None else table.lattice(row)
+
+    def table(self, words: Iterable[str]) -> LatticeTable:
+        """The lattice table over `words`, in their order; built on the
+        first call and again only when the words differ."""
+        words = tuple(words)
+        if self._table is None or self._table.words != words:
+            self._table = LatticeTable.build(words, self)
+        return self._table
 
     def _rescored(self, scores: Sequence[float]) -> SubwordVocab:
         """The same pieces with new scores, which the caller has validated.
 
-        The copy shares every piece-derived field, the lattice table too.
+        The copy shares every piece-derived field, the lattice table too,
+        and starts an empty segmentation memo.
         """
         rescored = copy.copy(self)
         rescored.scores = tuple(scores)
         rescored.entries = tuple(zip((p for p, _ in self.entries), rescored.scores))
+        rescored._segmentations = {}
         return rescored
 
 
@@ -203,9 +219,9 @@ class SubwordVocab:
 # lattice
 
 
-# array type code of the lattice tables: 64-bit, wide enough for any word
-# length and piece id
-_INT = "q"
+# array type code of the lattice arrays: a C int, wide enough for any word
+# length and piece id; the table holds them as np.intc to halve its memory
+_INT = "i"
 
 
 class LatticeSpan(NamedTuple):
@@ -219,13 +235,14 @@ class Lattice:
     """All vocabulary matches over one word, ordered by (start, end).
 
     The spans starting at position i are offsets[i]:offsets[i + 1] of the
-    parallel arrays ends and piece_ids.
+    parallel sequences ends and piece_ids. A lattice read from a table
+    indexes views of the table's arrays, which all its words share.
     """
 
     sentence: str
-    offsets: array
-    ends: array
-    piece_ids: array
+    offsets: Sequence[int]
+    ends: Sequence[int]
+    piece_ids: Sequence[int]
 
     @property
     def spans(self) -> tuple[LatticeSpan, ...]:
@@ -236,17 +253,119 @@ class Lattice:
             for k in range(offsets[i], offsets[i + 1])
         )
 
-    def remapped(self, new_ids: Sequence[int]) -> Lattice:
-        """Keep the spans whose piece has a new id (>= 0), in order, renumbered."""
-        offsets, ends, piece_ids = array(_INT, [0]), array(_INT), array(_INT)
-        for i in range(len(self.sentence)):
-            for k in range(self.offsets[i], self.offsets[i + 1]):
-                pid = new_ids[self.piece_ids[k]]
-                if pid >= 0:
-                    ends.append(self.ends[k])
-                    piece_ids.append(pid)
-            offsets.append(len(piece_ids))
-        return Lattice(self.sentence, offsets, ends, piece_ids)
+
+def _bases(lengths: np.ndarray) -> np.ndarray:
+    """Where each word's positions 0..n begin in one flat array, plus the
+    array's size at the end."""
+    return np.concatenate(([0], np.cumsum(lengths + 1)))
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """The indices at which a run of equal keys begins."""
+    return np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+
+
+class _Sweep:
+    """One pass of a lattice recursion, a step per value of `step`, in
+    ascending order: acc[d] = op.reduce(acc[src] + value) over the spans
+    whose dst is d, in table order. A step reads only positions that an
+    earlier step, or the caller, has set."""
+
+    def __init__(self, dst: np.ndarray, step: np.ndarray):
+        self.order = np.argsort(step, kind="stable")
+        dst, step = dst[self.order], step[self.order]
+        edges = [*_run_starts(step).tolist(), len(step)]
+        self.steps = []
+        for lo, hi in zip(edges, edges[1:]):
+            heads = _run_starts(dst[lo:hi])
+            self.steps.append((lo, hi, heads, dst[lo:hi][heads]))
+
+    def run(self, op: np.ufunc, acc: np.ndarray, src: np.ndarray,
+            values: np.ndarray) -> np.ndarray:
+        src, values = src[self.order], values[self.order]
+        for lo, hi, heads, targets in self.steps:
+            acc[targets] = op.reduceat(acc[src[lo:hi]] + values[lo:hi], heads)
+        return acc
+
+
+class LatticeTable:
+    """The lattices of a list of words as one flat table.
+
+    Spans are in (word, start, end) order; word w's are
+    offsets[w]:offsets[w + 1] of the parallel int arrays word, start, end
+    and piece_id. A recursion keeps one value per character position in a
+    flat array in which position i of word w is base[w] + i.
+    """
+
+    def __init__(self, words: tuple[str, ...], word: np.ndarray, start: np.ndarray,
+                 end: np.ndarray, piece_id: np.ndarray):
+        self.words = words
+        self.rows = {w: r for r, w in enumerate(words)}
+        self.word, self.start, self.end, self.piece_id = word, start, end, piece_id
+        self.offsets = np.searchsorted(word, np.arange(len(words) + 1))
+        self.lengths = np.array([len(w) for w in words], dtype=np.int64)
+        self.base = _bases(self.lengths)
+        self._sweeps: tuple[_Sweep, _Sweep] | None = None
+        self._views: tuple[memoryview, memoryview, memoryview] | None = None
+
+    @classmethod
+    def build(cls, words: tuple[str, ...], vocab: SubwordVocab) -> LatticeTable:
+        """One build_lattice call per word."""
+        word, start, end, piece_id = (array(_INT) for _ in range(4))
+        for row, w in enumerate(words):
+            lat = build_lattice(w, vocab)
+            for i in range(len(w)):
+                start.extend(repeat(i, lat.offsets[i + 1] - lat.offsets[i]))
+            word.extend(repeat(row, len(lat.piece_ids)))
+            end.extend(lat.ends)
+            piece_id.extend(lat.piece_ids)
+        return cls(words, *(np.frombuffer(a, dtype=np.intc)
+                            for a in (word, start, end, piece_id)))
+
+    def flat(self, positions: np.ndarray) -> np.ndarray:
+        """Each span's position in its word (its start or end), as a flat index."""
+        return self.base[self.word] + positions
+
+    def lattice(self, row: int) -> Lattice:
+        """The lattice of word `row`, over views of the table's arrays."""
+        if self._views is None:
+            firsts = np.searchsorted(self.flat(self.start), np.arange(self.base[-1] + 1))
+            self._views = memoryview(firsts), memoryview(self.end), memoryview(self.piece_id)
+        firsts, ends, piece_ids = self._views
+        return Lattice(self.words[row], firsts[self.base[row]:self.base[row + 1]],
+                       ends, piece_ids)
+
+    def sweeps(self) -> tuple[_Sweep, _Sweep]:
+        """The forward pass, by end, and the backward pass, by start from
+        the last, that EM runs over this table."""
+        if self._sweeps is None:
+            self._sweeps = (_Sweep(self.flat(self.end), self.end),
+                            _Sweep(self.flat(self.start), -self.start))
+        return self._sweeps
+
+    def filtered(self, new_ids: np.ndarray) -> LatticeTable:
+        """The spans whose piece has a new id (>= 0), in order, renumbered."""
+        piece_id = new_ids[self.piece_id]
+        keep = piece_id >= 0
+        return LatticeTable(self.words, self.word[keep], self.start[keep],
+                            self.end[keep], piece_id[keep])
+
+    def best_without(self, rows: np.ndarray, barred: np.ndarray,
+                     scores: np.ndarray) -> np.ndarray:
+        """Per k, the best path score of word rows[k] that avoids piece
+        barred[k]: one max pass over the words' spans, a copy per k."""
+        first = self.offsets[rows]
+        sizes = self.offsets[rows + 1] - first
+        pair = np.repeat(np.arange(len(rows)), sizes)
+        span = np.arange(len(pair)) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
+        keep = self.piece_id[span] != barred[pair]
+        pair, span = pair[keep], span[keep]
+        base = _bases(self.lengths[rows])
+        end = self.end[span]
+        best = _Sweep(base[pair] + end, end).run(
+            np.maximum, np.zeros(base[-1]), base[pair] + self.start[span],
+            scores[self.piece_id[span]])
+        return best[base[1:] - 1]
 
 
 def _span_piece(word: str, i: int, j: int) -> str | None:
@@ -295,9 +414,7 @@ def build_lattice(word: str, vocab: SubwordVocab) -> Lattice:
 # segmentation
 
 
-def _viterbi_word(
-    word: str, vocab: SubwordVocab, skip_piece: int | None = None
-) -> tuple[tuple[str, ...], float]:
+def _viterbi_word(word: str, vocab: SubwordVocab) -> tuple[tuple[str, ...], float]:
     """Best segmentation of one word.
 
     Ties on score prefer fewer pieces, then the lexicographically smallest
@@ -308,46 +425,47 @@ def _viterbi_word(
     offsets, ends, piece_ids = lattice.offsets, lattice.ends, lattice.piece_ids
     entries, scores = vocab.entries, vocab.scores
     n = len(word)
-    # per position: (score, n_pieces, pieces) or None. Spans are visited by
-    # start, so the candidates for one end arrive in order of their start.
+    # per position: (score, n_pieces, pieces), None until a span reaches it;
+    # build_lattice checked coverage, so every position is reached. Spans are
+    # visited by start, so the candidates for one end arrive in order of start.
     best: list[tuple[float, int, tuple[str, ...]] | None] = [None] * (n + 1)
     best[0] = (0.0, 0, ())
     for i in range(n):
-        prev = best[i]
-        if prev is None:
-            continue
+        prev_score, prev_n, prev_pieces = best[i]
         for k in range(offsets[i], offsets[i + 1]):
             pid = piece_ids[k]
-            if pid == skip_piece:
-                continue
-            cand = (prev[0] + scores[pid], prev[1] + 1, prev[2] + (entries[pid][0],))
+            score = prev_score + scores[pid]
             j = ends[k]
             top = best[j]
-            if (
-                top is None
-                or cand[0] > top[0]
-                or (cand[0] == top[0] and (cand[1], cand[2]) < (top[1], top[2]))
-            ):
-                best[j] = cand
-    final = best[n]
-    if final is None:
-        # unreachable after check_coverage unless skip_piece removed a
-        # single-character piece; callers never do that
-        raise OutOfInventoryError(word[0], 0, f"no segmentation for {word!r}")
-    return final[2], final[0]
+            if top is None or score > top[0]:
+                best[j] = (score, prev_n + 1, prev_pieces + (entries[pid][0],))
+            elif score == top[0]:
+                cand = (score, prev_n + 1, prev_pieces + (entries[pid][0],))
+                if cand[1:] < top[1:]:
+                    best[j] = cand
+    score, _, pieces = best[n]
+    return pieces, score
 
 
 def viterbi_segment(text: str, vocab: SubwordVocab) -> TokenSequence:
-    """Segment a normalized caption word by word; scores add across words."""
+    """Segment a normalized caption word by word; scores add across words.
+
+    Each word's segmentation is memoised in the vocabulary; a word that
+    cannot be segmented raises every time.
+    """
+    memo = vocab._segmentations
     pieces: list[str] = []
     total = 0.0
     offset = 0
     for word in text.split():
         start = text.index(word, offset)
-        try:
-            word_pieces, score = _viterbi_word(word, vocab)
-        except OutOfInventoryError as err:
-            raise OutOfInventoryError(err.char, start + err.position) from None
+        seg = memo.get(word)
+        if seg is None:
+            try:
+                seg = memo[word] = _viterbi_word(word, vocab)
+            except OutOfInventoryError as err:
+                raise OutOfInventoryError(err.char, start + err.position) from None
+        word_pieces, score = seg
         pieces.extend(word_pieces)
         total += score
         offset = start + len(word)
@@ -437,58 +555,8 @@ def build_seed_vocab(corpus: Corpus, seed_size: int) -> SubwordVocab:
     return SubwordVocab(scored)
 
 
-def _log_add(a: float, b: float) -> float:
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
-
-
-def _word_forward_backward(lattice: Lattice, scores: Sequence[float],
-                           weight: int, expected: list[float]) -> float:
-    """Log marginal probability of one word.
-
-    Adds weight x posterior of every span on a full path to
-    expected[piece_id], in span order.
-    """
-    offsets, ends, piece_ids = lattice.offsets, lattice.ends, lattice.piece_ids
-    n = len(lattice.sentence)
-    # forward by start: each end position sums its spans in order of start
-    fwd = [NEG_INF] * (n + 1)
-    fwd[0] = 0.0
-    for i in range(n):
-        if fwd[i] != NEG_INF:
-            for k in range(offsets[i], offsets[i + 1]):
-                j = ends[k]
-                fwd[j] = _log_add(fwd[j], fwd[i] + scores[piece_ids[k]])
-    log_z = fwd[n]
-    if log_z == NEG_INF:
-        raise OutOfInventoryError(lattice.sentence[0], 0,
-                                  f"no segmentation for {lattice.sentence!r}")
-    bwd = [NEG_INF] * (n + 1)
-    bwd[n] = 0.0
-    for i in range(n - 1, -1, -1):
-        acc = NEG_INF
-        for k in range(offsets[i], offsets[i + 1]):
-            if bwd[ends[k]] != NEG_INF:
-                acc = _log_add(acc, scores[piece_ids[k]] + bwd[ends[k]])
-        bwd[i] = acc
-    for i in range(n):
-        if fwd[i] == NEG_INF:
-            continue
-        for k in range(offsets[i], offsets[i + 1]):
-            if bwd[ends[k]] != NEG_INF:
-                pid = piece_ids[k]
-                expected[pid] += weight * math.exp(
-                    fwd[i] + scores[pid] + bwd[ends[k]] - log_z)
-    return log_z
-
-
 def em_step(corpus: Corpus, vocab: SubwordVocab) -> tuple[SubwordVocab, float]:
-    """One EM pass over all word lattices.
+    """One EM pass over the lattice table of the corpus words.
 
     Returns the re-estimated vocabulary and the corpus log-likelihood under
     the INPUT scores (sum over word tokens of the log marginal over all
@@ -496,11 +564,23 @@ def em_step(corpus: Corpus, vocab: SubwordVocab) -> tuple[SubwordVocab, float]:
     the total before renormalizing, so every score stays finite and <= 0.
     The returned vocabulary shares the input's lattice table.
     """
-    expected = [0.0] * vocab.size
+    table = vocab.table(corpus.word_counts)
+    counts = np.array(list(corpus.word_counts.values()), dtype=np.float64)
+    span_scores = np.array(vocab.scores)[table.piece_id]
+    src, dst = table.flat(table.start), table.flat(table.end)
+    forward, backward = table.sweeps()
+    # position 0 of each word starts the forward pass, its end the backward
+    fwd = forward.run(np.logaddexp, np.zeros(table.base[-1]), src, span_scores)
+    bwd = backward.run(np.logaddexp, np.zeros(table.base[-1]), dst, span_scores)
+    log_z = fwd[table.base[1:] - 1]
+    log_posterior = fwd[src] + span_scores + bwd[dst] - log_z[table.word]
+    posterior = np.fromiter(map(math.exp, memoryview(log_posterior)), np.float64,
+                            len(log_posterior))
+    expected = np.bincount(table.piece_id, counts[table.word] * posterior,
+                           vocab.size).tolist()
     log_likelihood = 0.0
-    for word, c in corpus.word_counts.items():
-        log_z = _word_forward_backward(vocab.lattice(word), vocab.scores, c, expected)
-        log_likelihood += c * log_z
+    for term in (counts * log_z).tolist():
+        log_likelihood += term
     total_positive = sum(expected)
     if total_positive <= 0.0:
         raise ValueError("EM produced no expected counts; corpus is empty?")
@@ -514,37 +594,29 @@ def em_step(corpus: Corpus, vocab: SubwordVocab) -> tuple[SubwordVocab, float]:
 
 def _kept_pieces(corpus: Corpus, vocab: SubwordVocab, keep: int) -> set[str]:
     """The `keep` multi-character pieces whose removal costs the most."""
+    table = vocab.table(corpus.word_counts)
     protected = vocab.required_chars
-    multi_ids = [
-        i for i, (p, _) in enumerate(vocab.entries) if p not in protected
-    ]
-
-    base_scores: dict[str, float] = {}
-    usage: dict[int, list[str]] = {}
-    use_count: Counter[int] = Counter()
-    for word in corpus.word_counts:
+    base_scores: list[float] = []
+    pairs: list[tuple[int, int]] = []  # (piece, word row) for each piece on a best path
+    for row, word in enumerate(table.words):
         pieces, score = _viterbi_word(word, vocab)
-        base_scores[word] = score
-        seen = set()
-        for p in pieces:
-            pid = vocab.piece_to_id[p]
-            if p in protected or pid in seen:
-                continue
-            seen.add(pid)
-            usage.setdefault(pid, []).append(word)
-            use_count[pid] += 1
-
-    word_counts = corpus.word_counts
-    losses: list[tuple[float, int, str]] = []  # (-loss, -n_words_using, piece)
-    for pid in multi_ids:
-        piece = vocab.entries[pid][0]
-        loss = 0.0
-        for word in usage.get(pid, ()):
-            _, without = _viterbi_word(word, vocab, skip_piece=pid)
-            loss += word_counts[word] * (base_scores[word] - without)
-        losses.append((-loss, -use_count[pid], piece))
-    losses.sort()
-    return {piece for _, _, piece in losses[:max(keep, 0)]}
+        base_scores.append(score)
+        pairs.extend((vocab.piece_to_id[p], row)
+                     for p in dict.fromkeys(pieces) if p not in protected)
+    pairs.sort()
+    used, rows = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    without = table.best_without(rows, used, np.array(vocab.scores))
+    counts = np.array(list(corpus.word_counts.values()), dtype=np.float64)
+    losses = np.bincount(used, counts[rows] * (np.array(base_scores)[rows] - without),
+                         vocab.size)
+    uses = np.bincount(used, minlength=vocab.size)
+    # rank by (loss desc, words using it desc, piece asc): a stable sort of
+    # the candidates in piece order
+    pieces = [p for p, _ in vocab.entries]
+    candidates = np.array(sorted((i for i, p in enumerate(pieces) if p not in protected),
+                                 key=pieces.__getitem__), dtype=np.int64)
+    ranked = candidates[np.lexsort((-uses[candidates], -losses[candidates]))]
+    return {pieces[i] for i in ranked[:max(keep, 0)].tolist()}
 
 
 def prune_vocab(corpus: Corpus, vocab: SubwordVocab, keep: int) -> SubwordVocab:
@@ -557,19 +629,14 @@ def prune_vocab(corpus: Corpus, vocab: SubwordVocab, keep: int) -> SubwordVocab:
     fewer); survivor scores are renormalized to the simplex. The survivors'
     lattice table is the input's, filtered to the kept pieces.
     """
-    # the loss scan's working set is freed before the survivors' table is built
     kept = vocab.required_chars | _kept_pieces(corpus, vocab, keep)
     survivors = [i for i, (p, _) in enumerate(vocab.entries) if p in kept]
-    log_total = NEG_INF
-    for i in survivors:
-        log_total = _log_add(log_total, vocab.scores[i])
+    log_total = float(np.logaddexp.reduce([vocab.scores[i] for i in survivors]))
     pruned = SubwordVocab([(vocab.entries[i][0], vocab.scores[i] - log_total)
                            for i in survivors])
-    new_ids = [-1] * vocab.size
-    for new, old in enumerate(survivors):
-        new_ids[old] = new
-    pruned._lattices = {word: lat.remapped(new_ids)
-                        for word, lat in vocab._lattices.items()}
+    new_ids = np.full(vocab.size, -1, dtype=np.intc)
+    new_ids[survivors] = np.arange(len(survivors))
+    pruned._table = vocab._table.filtered(new_ids)
     return pruned
 
 

@@ -8,6 +8,11 @@ The decoding references live here, not in src/: a per-prefix scorer maps
 a prefix tuple to (V,) log probabilities, greedy_reference follows its
 argmax chain, and rows_of adapts it to the RowsFn the one beam search
 asks for.
+
+So do the unigram references: scalar walks over one freshly built lattice
+per word, the forward-backward (reference_em_step) and the per-piece
+Viterbi loss scan (reference_prune_vocab), which em_step and prune_vocab
+must equal to the bit.
 """
 
 import json
@@ -18,6 +23,7 @@ import numpy as np
 
 from subicap.model.decoding import Hypothesis
 from subicap.model.transformer import BOS_ID, EOS_ID, PAD_ID, decoder_forward
+from subicap.unigram import SubwordVocab, build_lattice
 
 ACCEPTANCE_VERDICTS: list[str] = []
 
@@ -81,3 +87,106 @@ def greedy_reference(step, max_len):
             return Hypothesis(prefix[1:], logprob, finished=True)
         prefix += (tok,)
     return Hypothesis(prefix[1:], logprob, finished=False)
+
+
+NEG_INF = float("-inf")
+
+
+def _log_add(a, b):
+    if a == NEG_INF:
+        return b
+    if b == NEG_INF:
+        return a
+    if a < b:
+        a, b = b, a
+    return a + math.log1p(math.exp(b - a))
+
+
+def _word_forward_backward(lattice, scores, weight, expected):
+    """Log marginal probability of one word; adds weight x posterior of
+    every span to expected[piece_id], in span order."""
+    offsets, ends, piece_ids = lattice.offsets, lattice.ends, lattice.piece_ids
+    n = len(lattice.sentence)
+    # forward by start: each end position sums its spans in order of start
+    fwd = [NEG_INF] * (n + 1)
+    fwd[0] = 0.0
+    for i in range(n):
+        for k in range(offsets[i], offsets[i + 1]):
+            j = ends[k]
+            fwd[j] = _log_add(fwd[j], fwd[i] + scores[piece_ids[k]])
+    log_z = fwd[n]
+    bwd = [NEG_INF] * (n + 1)
+    bwd[n] = 0.0
+    for i in range(n - 1, -1, -1):
+        acc = NEG_INF
+        for k in range(offsets[i], offsets[i + 1]):
+            acc = _log_add(acc, scores[piece_ids[k]] + bwd[ends[k]])
+        bwd[i] = acc
+    for i in range(n):
+        for k in range(offsets[i], offsets[i + 1]):
+            pid = piece_ids[k]
+            expected[pid] += weight * math.exp(fwd[i] + scores[pid] + bwd[ends[k]] - log_z)
+    return log_z
+
+
+def reference_em_step(corpus, vocab):
+    """em_step as a scalar walk, word by word in corpus order."""
+    expected = [0.0] * vocab.size
+    log_likelihood = 0.0
+    for word, c in corpus.word_counts.items():
+        log_z = _word_forward_backward(build_lattice(word, vocab), vocab.scores, c, expected)
+        log_likelihood += c * log_z
+    floor = sum(expected) * 1e-30
+    floored = [e if e > floor else floor for e in expected]
+    total = sum(floored)
+    scores = [math.log(e / total) for e in floored]
+    return SubwordVocab([(p, s) for (p, _), s in zip(vocab.entries, scores)]), log_likelihood
+
+
+def reference_viterbi(word, vocab, skip_piece=None):
+    """Best (pieces, score) of one word without piece id skip_piece; ties
+    prefer fewer pieces, then the smallest piece sequence."""
+    lattice = build_lattice(word, vocab)
+    offsets, ends, piece_ids = lattice.offsets, lattice.ends, lattice.piece_ids
+    best = [None] * (len(word) + 1)
+    best[0] = (0.0, 0, ())
+    for i in range(len(word)):
+        prev = best[i]
+        for k in range(offsets[i], offsets[i + 1]):
+            pid = piece_ids[k]
+            if pid == skip_piece:
+                continue
+            cand = (prev[0] + vocab.scores[pid], prev[1] + 1,
+                    prev[2] + (vocab.entries[pid][0],))
+            top = best[ends[k]]
+            if top is None or cand[0] > top[0] or (cand[0] == top[0] and cand[1:] < top[1:]):
+                best[ends[k]] = cand
+    return best[-1][2], best[-1][0]
+
+
+def reference_prune_vocab(corpus, vocab, keep):
+    """prune_vocab as the scalar scan: one Viterbi per word for its best
+    path, then one per (piece, word on whose path it lies) without it."""
+    protected = vocab.required_chars
+    base, usage = {}, {}
+    for word in corpus.word_counts:
+        pieces, base[word] = reference_viterbi(word, vocab)
+        for p in dict.fromkeys(pieces):
+            if p not in protected:
+                usage.setdefault(vocab.piece_to_id[p], []).append(word)
+    ranked = []
+    for pid, (piece, _) in enumerate(vocab.entries):
+        if piece in protected:
+            continue
+        loss = 0.0
+        for word in usage.get(pid, ()):
+            without = reference_viterbi(word, vocab, skip_piece=pid)[1]
+            loss += corpus.word_counts[word] * (base[word] - without)
+        ranked.append((-loss, -len(usage.get(pid, ())), piece))
+    ranked.sort()
+    kept = protected | {piece for _, _, piece in ranked[:max(keep, 0)]}
+    survivors = [(p, s) for p, s in vocab.entries if p in kept]
+    log_total = NEG_INF
+    for _, s in survivors:
+        log_total = _log_add(log_total, s)
+    return SubwordVocab([(p, s - log_total) for p, s in survivors])

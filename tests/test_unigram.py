@@ -2,9 +2,11 @@
 
 The heavy checks pit the implementation against brute-force enumeration:
 every segmentation of a short word can be listed outright, so the lattice
-recursions have an exact oracle.
+recursions have an exact oracle. EM and pruning run as array passes over
+one lattice table; the scalar walks in conftest are their bit-exact oracle.
 """
 
+import hashlib
 import math
 import sys
 from pathlib import Path
@@ -14,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_em_step, reference_prune_vocab
 from subicap import unigram
-from subicap.corpus import Corpus, bundled_corpus_path, load_corpus
+from subicap.cli import main
+from subicap.corpus import Corpus, bundled_corpus_path, load_corpus, normalize_text
 from subicap.errors import (
     OrphanContinuationError,
     OutOfInventoryError,
@@ -280,6 +284,43 @@ class TestViterbi:
                 assert got.total_score == pytest.approx(expected[1])
 
 
+class TestSegmentationMemo:
+    @pytest.fixture
+    def viterbi_calls(self, monkeypatch):
+        """The words _viterbi_word runs on, in call order."""
+        words = []
+        real = unigram._viterbi_word
+
+        def logging_viterbi(word, vocab):
+            words.append(word)
+            return real(word, vocab)
+
+        monkeypatch.setattr(unigram, "_viterbi_word", logging_viterbi)
+        return words
+
+    def test_repeated_word_runs_viterbi_once(self, viterbi_calls):
+        pieces = ["a", "_a", "c", "_c", "t", "_t", "at", "_at"]
+        vocab = _uniform_vocab(pieces)
+        first = encode("cat a cat at cat", vocab)
+        second = encode("at cat", vocab)
+        assert viterbi_calls == ["cat", "a", "at"]
+        fresh = _uniform_vocab(pieces)
+        assert (first, second) == (encode("cat a cat at cat", fresh), encode("at cat", fresh))
+
+    def test_failures_are_not_memoised(self, viterbi_calls):
+        v = _uniform_vocab(["a", "_a", "b", "_b"])
+        for text, position in [("ab axb", 4), ("axb", 1), ("ab axb", 4)]:
+            with pytest.raises(OutOfInventoryError) as exc:
+                viterbi_segment(text, v)
+            assert (exc.value.char, exc.value.position) == ("x", position)
+        assert viterbi_calls == ["ab", "axb", "axb", "axb"]
+
+    def test_rescored_vocabulary_segments_afresh(self):
+        v = _scored_vocab({"ab": -0.1, "a": -3.0, "_b": -3.0})
+        assert encode("ab", v).pieces == ("ab",)
+        assert encode("ab", v._rescored([-5.0, -0.1, -0.1])).pieces == ("a", "_b")
+
+
 class TestRoundtrip:
     def test_encode_normalizes_first(self):
         v = _uniform_vocab(["a", "_a", "c", "_c", "t", "_t", " "])
@@ -449,6 +490,18 @@ class TestPrune:
         assert {"ab", "cd"} <= kept
         assert "xy" not in kept
 
+    def test_words_using_a_piece_break_a_loss_tie(self):
+        # "cd" is the best path of "cd", but [c, _d] scores the same, so it
+        # costs 0 like the unused "ab"; used by one word, "cd" ranks first
+        corpus = Corpus.from_texts(["cd"])
+        vocab = _scored_vocab({
+            **_coverage_singles("abcd", score=-20.0),
+            "c": -1.0, "_d": -1.0, "ab": -1.0, "cd": -2.0,
+        })
+        assert viterbi_segment("cd", vocab).pieces == ("cd",)
+        pruned = prune_vocab(corpus, vocab, 1)
+        assert "cd" in pruned and "ab" not in pruned
+
     def test_singles_never_pruned(self):
         corpus = Corpus.from_texts(["ab ab"])
         vocab = build_seed_vocab(corpus, 5)
@@ -535,6 +588,16 @@ class TestTrainUnigram:
         with pytest.raises(ValueError, match="vocabulary size 51 .* floor of 52"):
             train_unigram(load_corpus(bundled_corpus_path()), TrainerConfig(51))
 
+    def test_desk_vocabulary_file_is_pinned(self, tmp_path):
+        # sha256 of the file this command wrote at commit 531abcf, before EM
+        # and pruning became array passes; any changed piece, order or
+        # sixth decimal of a score changes it
+        out = tmp_path / "vocab.tsv"
+        assert main(["train-tokenizer", "--corpus", str(bundled_corpus_path()),
+                     "--vocab-size", "300", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "d9397c6451a51f96562c3bd746267902436b9e51f43f4e4c8ab8a9feb4148a4a"
+
     def test_saturates_when_corpus_is_small(self):
         corpus = Corpus.from_texts(["ab ab"])
         vocab = train_unigram(corpus, TrainerConfig(target_vocab_size=500))
@@ -562,6 +625,10 @@ def corpus_and_vocab(draw):
 def _bits(vocab_and_ll):
     vocab, ll = vocab_and_ll
     return [p for p, _ in vocab.entries], [s.hex() for s in vocab.scores], ll.hex()
+
+
+def _entry_bits(vocab):
+    return [(p, s.hex()) for p, s in vocab.entries]
 
 
 def _no_build(word, vocab):
@@ -622,6 +689,54 @@ class TestLatticeTable:
         assert built == ["cat", "a", "at"]
         encode("at cat", vocab)
         assert built == ["cat", "a", "at"]
+
+
+class TestScalarOracle:
+    """em_step and prune_vocab equal the scalar walks over fresh lattices."""
+
+    @given(case=corpus_and_vocab())
+    @settings(max_examples=75, deadline=None, derandomize=True)
+    def test_em_step_and_prune_equal_the_scalar_walk(self, case):
+        corpus, vocab, keep = case
+        assert _bits(em_step(corpus, vocab)) == _bits(reference_em_step(corpus, vocab))
+        pruned = prune_vocab(corpus, vocab, keep)
+        assert _entry_bits(pruned) == _entry_bits(reference_prune_vocab(corpus, vocab, keep))
+        # and again on the pruned table, which was filtered, not rebuilt
+        assert _bits(em_step(corpus, pruned)) == _bits(reference_em_step(corpus, pruned))
+
+    def test_desk_corpus(self):
+        corpus = load_corpus(bundled_corpus_path())
+        vocab = build_seed_vocab(corpus, 3000)
+        assert _bits(em_step(corpus, vocab)) == _bits(reference_em_step(corpus, vocab))
+        vocab, _ = em_step(corpus, vocab)
+        keep = (vocab.size - len(vocab.required_chars)) // 2
+        assert _entry_bits(prune_vocab(corpus, vocab, keep)) == \
+            _entry_bits(reference_prune_vocab(corpus, vocab, keep))
+
+
+@pytest.fixture(scope="module")
+def desk_vocab():
+    return train_unigram(load_corpus(bundled_corpus_path()), TrainerConfig(300))
+
+
+class TestRoundtripProperties:
+    ALPHABET = "".join(sorted(load_corpus(bundled_corpus_path()).char_inventory))
+
+    @given(text=st.text(alphabet=ALPHABET + ALPHABET.upper() + "\t\n", max_size=60))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_detokenize_inverts_encode(self, desk_vocab, text):
+        assert detokenize(encode(text, desk_vocab)) == normalize_text(text)
+
+    @given(entries=st.lists(
+        st.tuples(st.text(alphabet=ALPHABET + CONTINUATION, min_size=1, max_size=6),
+                  st.floats(-40.0, 0.0)),
+        min_size=1, max_size=20, unique_by=lambda e: e[0]))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_save_load_save_is_byte_identical(self, tmp_path_factory, entries):
+        d = tmp_path_factory.mktemp("vocab")
+        save_vocab(SubwordVocab(entries), d / "one.tsv")
+        save_vocab(load_vocab(d / "one.tsv"), d / "two.tsv")
+        assert (d / "one.tsv").read_bytes() == (d / "two.tsv").read_bytes()
 
 
 class TestSerialization:
