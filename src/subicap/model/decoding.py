@@ -1,10 +1,16 @@
 """Length-normalized beam search, the one search for every width.
 
 The search extends prefixes of token ids that start with <bos>. At each
-step it asks a RowsFn for all its live prefixes at once: an (L, t) int
-array of L prefixes of one length t in, an (L, V) array of next-token log
-probabilities out. model_rows_fn runs the caption model's decoder once over
-all L rows; any hand-built toy scorer can drive the same search.
+step it asks a RowsFn for all its live prefixes at once: in, an (L, t) int
+array of L prefixes of one length t and the (L,) int array parents; out, an
+(L, V) array of next-token log probabilities. The first call gets the one
+prefix (<bos>,) and parents [0]; at every later call, prefix j is prefix
+parents[j] of the call before with one token appended, so a parent may be
+continued twice or not at all. A scorer may keep state from call to call
+on that promise: model_rows_fn keeps the decoder's keys and values, reorders
+them by parents and runs only the newest position of each row. A toy
+scorer may ignore parents and score the prefixes alone; any such scorer
+drives the same search.
 
 Hypotheses are compared by total log probability divided by the number of
 generated tokens (<eos> included when emitted); ties break toward the
@@ -31,6 +37,7 @@ from .transformer import (
     BOS_ID,
     EOS_ID,
     PAD_ID,
+    DecoderCache,
     ModelConfig,
     _check_length,
     _decoder_fwd,
@@ -38,7 +45,7 @@ from .transformer import (
     encoder_forward,
 )
 
-RowsFn = Callable[[np.ndarray], np.ndarray]
+RowsFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -73,22 +80,23 @@ def _log_probs(logits: np.ndarray, length: int,
 
 def model_rows_fn(q: np.ndarray, params, cfg: ModelConfig,
                   first_banned: np.ndarray | None = None) -> RowsFn:
-    """Next-token scorer over the encoded regions q: one decoder pass over
-    L copies of q for L prefixes, and only each row's last position goes
-    through the output head.
+    """Next-token scorer over one image's encoded regions q, for one search:
+    each call is one decoder pass over the newest position of every row,
+    which attends to the keys and values its parent row left in the cache.
 
     <pad> and <bos> score -inf, and so do the ids where the bool mask
     first_banned is True when they would open the caption. The other
     entries keep the model's log-softmax, not renormalized, so a
     hypothesis's logprob is the model's probability of its tokens.
     """
+    cache = DecoderCache()
 
-    def rows(prefixes: np.ndarray) -> np.ndarray:
-        n_rows, t = prefixes.shape
+    def rows(prefixes: np.ndarray, parents: np.ndarray) -> np.ndarray:
+        t = prefixes.shape[1]
         _check_length(t, cfg)
-        h, _ = _decoder_fwd(np.tile(q, (n_rows, 1)), prefixes, None, params, cfg)
-        last = h.reshape(n_rows, t, cfg.d_model)[:, -1]
-        return _log_probs(last @ params["out.W"], t, first_banned)
+        cache.reorder(parents)
+        h, _ = _decoder_fwd(q, prefixes[:, -1:], None, params, cfg, cache, t - 1)
+        return _log_probs(h @ params["out.W"], t, first_banned)
 
     return rows
 
@@ -101,10 +109,12 @@ def beam_rows_decode(rows_fn: RowsFn, beam: int, max_len: int) -> Hypothesis:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     live: list[tuple[tuple[int, ...], float]] = [((BOS_ID,), 0.0)]  # sorted
+    parents = np.zeros(1, dtype=np.int64)
     finished: list[Hypothesis] = []
     for _ in range(max_len):
         scores = np.array([score for _, score in live])
-        cand = (scores[:, None] + rows_fn(np.array([seq for seq, _ in live]))).ravel()
+        prefixes = np.array([seq for seq, _ in live])
+        cand = (scores[:, None] + rows_fn(prefixes, parents)).ravel()
         k = min(beam, cand.size)
         pick = np.flatnonzero(cand >= np.partition(cand, -k)[-k])  # kth's ties too
         top = cand[pick]
@@ -122,6 +132,7 @@ def beam_rows_decode(rows_fn: RowsFn, beam: int, max_len: int) -> Hypothesis:
                 kept.append((i, seq + (tok,), score))
         kept.sort()  # flat index order is prefix order
         live = [(seq, score) for _, seq, score in kept]
+        parents = np.array([i for i, _, _ in kept], dtype=np.int64) // vocab
         if not live:
             break
     finished += [Hypothesis(seq[1:], score, False) for seq, score in live]

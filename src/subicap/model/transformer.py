@@ -21,6 +21,12 @@ later position from a real one. The loss reads only the positions that have
 a target, so no gradient reaches a padded row. One image or one prefix
 (encoder_forward, decoder_forward) is the B=1 case of the same forward.
 
+Decoding runs the same decoder forward with a DecoderCache: the first pass
+projects the memory to cross-attention keys and values once, shared by
+every live row, and each later pass runs only each row's newest position
+against the self-attention keys and values cached for that row. Positions
+come from one table per config, built once (_positions).
+
 Every forward has a hand-written backward that writes each parameter's
 gradient once, in a fixed order, so training is bitwise reproducible.
 Parameters, gradients and optimizer moments are views into one float64
@@ -200,8 +206,11 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
 
 
 def _ln_fwd(x, params, prefix):
-    xhat = x - x.mean(-1, keepdims=True)
-    var = (xhat * xhat).mean(-1, keepdims=True)
+    # sum / d is np.mean's own arithmetic, so the same bits, without its
+    # Python-level dispatch (as in _ln_bwd)
+    d = x.shape[-1]
+    xhat = x - x.sum(-1, keepdims=True) / d
+    var = (xhat * xhat).sum(-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
     g = params[f"{prefix}.g"]
@@ -215,8 +224,9 @@ def _ln_bwd(dy, cache, prefix, grads):
     np.sum(dy * xhat, axis=0, out=grads[f"{prefix}.g"])
     np.sum(dy, axis=0, out=grads[f"{prefix}.b"])
     dxhat = dy * g
-    m1 = dxhat.mean(-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(-1, keepdims=True)
+    d = dxhat.shape[-1]
+    m1 = dxhat.sum(-1, keepdims=True) / d
+    m2 = (dxhat * xhat).sum(-1, keepdims=True) / d
     return inv * (dxhat - m1 - xhat * m2)
 
 
@@ -249,21 +259,29 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b * t, h * dk)
 
 
-def _attn_fwd(xq, xkv, b, params, prefix, n_heads, mask=None, gates=None):
+def _kv(xkv, b, params, prefix, n_heads):
+    """The keys and values (kh, vh) of xkv (b*Tk, d), each (b, H, Tk, dk)."""
+    v = xkv @ params[f"{prefix}.Wv"]
+    v += params[f"{prefix}.bv"]
+    return (_split_heads(xkv @ params[f"{prefix}.Wk"], b, n_heads),
+            _split_heads(v, b, n_heads))
+
+
+def _attn_fwd(xq, xkv, b, params, prefix, n_heads, mask=None, gates=None,
+              kv=None):
     """Multi-head attention over b sequences at once.
 
     xq (b*Tq, d) and xkv (b*Tk, d) hold each sequence's rows in turn.
     mask is additive and broadcasts to (b, H, Tq, Tk): 0 where a query may
     attend, -inf where it may not. gates (b, H, Tq, Tk), nonnegative,
-    reweight the softmax as in geometry.gated_softmax.
+    reweight the softmax as in geometry.gated_softmax. kv, when given, is
+    the (kh, vh) to attend over in place of _kv(xkv, ...), and xkv is not
+    read; its leading axis may be 1, to broadcast over the b sequences.
     """
     q = xq @ params[f"{prefix}.Wq"]
     q += params[f"{prefix}.bq"]
-    v = xkv @ params[f"{prefix}.Wv"]
-    v += params[f"{prefix}.bv"]
     qh = _split_heads(q, b, n_heads)
-    kh = _split_heads(xkv @ params[f"{prefix}.Wk"], b, n_heads)
-    vh = _split_heads(v, b, n_heads)
+    kh, vh = _kv(xkv, b, params, prefix, n_heads) if kv is None else kv
     scale = 1.0 / math.sqrt(qh.shape[-1])
     scores = qh @ kh.swapaxes(-1, -2)
     scores *= scale
@@ -395,22 +413,62 @@ def sinusoid_positions(n: int, d: int) -> np.ndarray:
     return out
 
 
-def _decoder_fwd(q, inputs, region_mask, params, cfg: ModelConfig):
-    """inputs (B, T) ids over memory q (B*N, d) -> final hidden rows (B*T, d)."""
+@functools.lru_cache(maxsize=16)
+def _positions(cfg: ModelConfig) -> np.ndarray:
+    """Read-only; its first t rows are sinusoid_positions(t, d) to the bit."""
+    table = sinusoid_positions(cfg.max_seq_len, cfg.d_model)
+    table.flags.writeable = False
+    return table
+
+
+class DecoderCache:
+    """Per decoder layer, the (kh, vh) one pass leaves for the next: cross,
+    one image's memory, (1, H, N, dk), which broadcasts over the rows; past,
+    each row's self-attention positions so far, (rows, H, t, dk)."""
+
+    def __init__(self):
+        self.cross: list = []
+        self.past: list = []
+
+    def reorder(self, parents: np.ndarray) -> None:
+        """Row j of the next pass continues row parents[j] of the last one."""
+        self.past = [(kh[parents], vh[parents]) for kh, vh in self.past]
+
+
+def _decoder_fwd(q, inputs, region_mask, params, cfg: ModelConfig,
+                 cache: DecoderCache | None = None, start: int = 0):
+    """inputs (B, T) ids over memory q (B*N, d) -> final hidden rows (B*T, d).
+
+    With a cache, q is one image's memory and the inputs sit at positions
+    start.. of each row, after the positions the cache holds: a pass at
+    start 0 fills the cache, each later one reads and extends it.
+    """
     b, t = inputs.shape
     d = cfg.d_model
     scale = math.sqrt(d)
     x = params["embed.W"][inputs]
     x *= scale
-    x += sinusoid_positions(t, d)
+    x += _positions(cfg)[start:start + t]
     x = x.reshape(b * t, d)
-    causal = np.triu(np.full((t, t), -np.inf), 1)
+    # a single newest position may attend to every position
+    causal = np.triu(np.full((t, start + t), -np.inf), start + 1) if t > 1 else None
+    if cache is not None and start == 0:
+        cache.cross = [_kv(q, 1, params, f"dec{i}.cross", cfg.n_heads)
+                       for i in range(cfg.n_dec_layers)]
+        cache.past = [None] * cfg.n_dec_layers
     layers = []
     for i in range(cfg.n_dec_layers):
-        s, c_s = _attn_fwd(x, x, b, params, f"dec{i}.self", cfg.n_heads, causal)
+        self_kv, cross_kv = _kv(x, b, params, f"dec{i}.self", cfg.n_heads), None
+        if cache is not None:
+            if start:
+                self_kv = tuple(np.concatenate(pair, axis=2)
+                                for pair in zip(cache.past[i], self_kv))
+            cache.past[i], cross_kv = self_kv, cache.cross[i]
+        s, c_s = _attn_fwd(x, x, b, params, f"dec{i}.self", cfg.n_heads, causal,
+                           kv=self_kv)
         h1, c1 = _ln_fwd(x + s, params, f"dec{i}.ln1")
         cr, c_c = _attn_fwd(h1, q, b, params, f"dec{i}.cross", cfg.n_heads,
-                            region_mask)
+                            region_mask, kv=cross_kv)
         h2, c2 = _ln_fwd(h1 + cr, params, f"dec{i}.ln2")
         ff, c_f = _ffn_fwd(h2, params, f"dec{i}.ffn")
         x, c3 = _ln_fwd(h2 + ff, params, f"dec{i}.ln3")

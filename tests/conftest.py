@@ -70,8 +70,10 @@ def model_step(q, params, cfg, first_banned=None):
 
 
 def rows_of(step):
-    """The RowsFn that scores each row of an (L, t) prefix array by step."""
-    return lambda prefixes: np.stack([step(tuple(p)) for p in prefixes.tolist()])
+    """The RowsFn that scores each row of an (L, t) prefix array by step;
+    it ignores parents, since step sees each whole prefix."""
+    return lambda prefixes, parents: np.stack([step(tuple(p))
+                                               for p in prefixes.tolist()])
 
 
 def greedy_reference(step, max_len):

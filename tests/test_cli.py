@@ -11,11 +11,13 @@ import logging
 from pathlib import Path
 
 import conftest
+import numpy as np
 import pytest
 
 from subicap.baselines import load_word_vocab
 from subicap.cli import build_parser, main
 from subicap.corpus import bundled_corpus_path
+from subicap.model import transformer
 from subicap.model.decoding import caption_regions
 from subicap.model.synthetic import synthetic_regions
 from subicap.model.transformer import load_checkpoint
@@ -447,6 +449,45 @@ def test_generated_captions_hold_no_control_tokens(one_step_model, tmp_path, bea
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 20
     assert not [line for line in lines if "<bos>" in line or "<pad>" in line]
+
+
+def _mean_ln_fwd(x, params, prefix):
+    """Layer norm as it was written with np.mean, the reference for _ln_fwd."""
+    xhat = x - x.mean(-1, keepdims=True)
+    var = (xhat * xhat).mean(-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + transformer._LN_EPS)
+    xhat *= inv
+    g = params[f"{prefix}.g"]
+    out = xhat * g
+    out += params[f"{prefix}.b"]
+    return out, (xhat, inv, g)
+
+
+def _mean_ln_bwd(dy, cache, prefix, grads):
+    xhat, inv, g = cache
+    np.sum(dy * xhat, axis=0, out=grads[f"{prefix}.g"])
+    np.sum(dy, axis=0, out=grads[f"{prefix}.b"])
+    dxhat = dy * g
+    m1 = dxhat.mean(-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(-1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2)
+
+
+def test_layer_norm_sums_leave_checkpoints_byte_identical(one_step_model, tmp_path,
+                                                          monkeypatch):
+    # twenty steps carry any change in the last bit of a forward or backward
+    # into the written float64s
+    vocab, _ = one_step_model
+
+    def train(out):
+        assert main(["train-lm", "--tokenizer", str(vocab), "--out", str(out),
+                     "--steps", "20", "--seed", "0"]) == 0
+        return out.read_bytes()
+
+    now = train(tmp_path / "sum.ckpt")
+    monkeypatch.setattr(transformer, "_ln_fwd", _mean_ln_fwd)
+    monkeypatch.setattr(transformer, "_ln_bwd", _mean_ln_bwd)
+    assert train(tmp_path / "mean.ckpt") == now
 
 
 @pytest.mark.parametrize("images", ["0", "-3"])

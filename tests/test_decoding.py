@@ -25,6 +25,7 @@ from subicap.model.transformer import (
     BOS_ID,
     EOS_ID,
     PAD_ID,
+    DecoderCache,
     ModelConfig,
     _decoder_fwd,
     decoder_forward,
@@ -306,41 +307,79 @@ class TestTieRule:
                 assert step(prefix[:-1])[prefix[-1]] > -np.inf, (seed, prefix)
 
 
+def _parent_events(n_prev, parents):
+    """Which of: a row continues another row's slot, a parent is continued
+    twice, a row of the previous call is dropped."""
+    events = set()
+    if not np.array_equal(parents, np.arange(len(parents))):
+        events.add("moved")
+    if len(set(parents.tolist())) < len(parents):
+        events.add("twice")
+    if len(set(parents.tolist())) < n_prev:
+        events.add("dropped")
+    return events
+
+
 class TestBatchedRows:
     def test_rows_equal_the_per_prefix_decoder(self):
-        """One batched pass over L prefixes gives each prefix's own
-        log_softmax(decoder_forward(q, prefix)[-1]), to 1e-12."""
+        """The cached scorer, driven through whole searches at widths 1, 2
+        and 4 (whose rows move, are continued twice and are dropped) and
+        through random walks that also permute rows, gives every row its
+        own prefix's log_softmax(decoder_forward(q, prefix)[-1]), with
+        first_banned applied, to 1e-12."""
         banned = np.zeros(CFG.vocab_size, dtype=bool)
         banned[[3, 7]] = True
+        events = set()
         for seed in range(10):
             rng = np.random.default_rng(seed)
             params = init_params(CFG, seed=seed)
             q = encoder_forward(_random_regions(rng, n=2 + seed % 3), params, CFG)
-            for t in (1, 2, 5, CFG.max_seq_len):
-                prefixes = rng.integers(0, CFG.vocab_size, size=(1 + seed % 4, t))
-                prefixes[:, 0] = BOS_ID
-                got = model_rows_fn(q, params, CFG, banned)(prefixes)
-                for row, prefix in zip(got, prefixes.tolist()):
-                    want = model_step(q, params, CFG, banned)(tuple(prefix))
-                    finite = np.isfinite(want)
-                    assert np.array_equal(np.isfinite(row), finite)
-                    assert np.max(np.abs(row[finite] - want[finite])) <= 1e-12
+            step = model_step(q, params, CFG, banned)
+
+            def checked(seen):
+                rows_fn, n_prev = model_rows_fn(q, params, CFG, banned), [1]
+
+                def rows(prefixes, parents):
+                    seen.update(_parent_events(n_prev[0], parents))
+                    n_prev[0] = len(prefixes)
+                    got = rows_fn(prefixes, parents)
+                    for row, prefix in zip(got, prefixes.tolist()):
+                        want = step(tuple(prefix))
+                        finite = np.isfinite(want)
+                        assert np.array_equal(np.isfinite(row), finite)
+                        assert np.max(np.abs(row[finite] - want[finite])) <= 1e-12
+                    return got
+
+                return rows
+
+            for beam in (1, 2, 4):
+                beam_rows_decode(checked(events), beam, CFG.max_seq_len)
+            rows = checked(set())
+            prefixes, parents = np.array([[BOS_ID]]), np.zeros(1, dtype=np.int64)
+            for _ in range(CFG.max_seq_len):
+                rows(prefixes, parents)
+                parents = rng.integers(0, len(prefixes), size=rng.integers(1, 5))
+                tokens = rng.integers(EOS_ID + 1, CFG.vocab_size, size=len(parents))
+                prefixes = np.column_stack([prefixes[parents], tokens])
+        assert events == {"moved", "twice", "dropped"}  # the searches did each
 
     def test_rows_reject_overlong_prefixes(self):
         params = init_params(CFG, seed=0)
         q = encoder_forward(_random_regions(np.random.default_rng(0)), params, CFG)
         with pytest.raises(ValueError, match="max_seq_len"):
-            model_rows_fn(q, params, CFG)(np.ones((2, CFG.max_seq_len + 1), int))
+            model_rows_fn(q, params, CFG)(np.ones((2, CFG.max_seq_len + 1), int),
+                                          np.zeros(2, int))
 
     @pytest.mark.parametrize("beam", [1, 2, 4])
     def test_model_runs_once_per_search_step(self, beam, monkeypatch):
-        """However many beams are live, each step is one decoder pass over
-        all of them, in prefix order; the per-prefix decoder never runs."""
+        """However many beams are live, each search step is one decoder
+        pass over at most `beam` rows, each carrying exactly one new
+        position, the step's own; the per-prefix decoder never runs."""
         calls = []
 
-        def counted(q, inputs, *args):
-            calls.append(inputs.copy())
-            return real(q, inputs, *args)
+        def counted(q, inputs, region_mask, params, cfg, cache, start):
+            calls.append((inputs.shape, start))
+            return real(q, inputs, region_mask, params, cfg, cache, start)
 
         real = decoding._decoder_fwd
         monkeypatch.setattr(decoding, "_decoder_fwd", counted)
@@ -352,11 +391,11 @@ class TestBatchedRows:
             calls.clear()
             caption_regions(_random_regions(rng), params, CFG, beam=beam,
                             max_len=6)
-            assert [c.shape[1] for c in calls] == list(range(1, len(calls) + 1))
-            for rows in calls:
-                assert len(rows) <= beam
-                assert sorted(set(map(tuple, rows))) == list(map(tuple, rows))
-            widest = max(widest, max(len(rows) for rows in calls))
+            assert [start for _, start in calls] == list(range(len(calls)))
+            for n_rows, width in (shape for shape, _ in calls):
+                assert 1 <= n_rows <= beam
+                assert width == 1
+            widest = max(widest, max(shape[0] for shape, _ in calls))
         assert widest == beam
 
 
@@ -381,8 +420,10 @@ class TestModelStepFn:
         params = init_params(CFG, seed=2)
         q = encoder_forward(_random_regions(rng), params, CFG)
         prefix = np.array([[1, 5, 6]])
-        logp = model_rows_fn(q, params, CFG)(prefix)[0]
-        h, _ = _decoder_fwd(q, prefix, None, params, CFG)
+        rows, cache = model_rows_fn(q, params, CFG), DecoderCache()
+        for t in range(3):
+            logp = rows(prefix[:, : t + 1], np.zeros(1, int))[0]
+            h, _ = _decoder_fwd(q, prefix[:, t : t + 1], None, params, CFG, cache, t)
         want = log_softmax(h[-1] @ params["out.W"])
         assert logp.shape == (CFG.vocab_size,)
         assert np.exp(want).sum() == pytest.approx(1.0)
@@ -399,12 +440,13 @@ class TestModelStepFn:
         banned[[4, 6]] = True
         plain = model_rows_fn(q, params, CFG)
         masked = model_rows_fn(q, params, CFG, banned)
-        first = masked(np.array([[BOS_ID]]))[0]
+        root = np.zeros(1, int)
+        first = masked(np.array([[BOS_ID]]), root)[0]
         assert np.all(first[banned] == -np.inf)
         keep = ~banned
-        assert np.array_equal(first[keep], plain(np.array([[BOS_ID]]))[0][keep])
+        assert np.array_equal(first[keep], plain(np.array([[BOS_ID]]), root)[0][keep])
         later = np.array([[BOS_ID, 4]])
-        assert np.array_equal(masked(later), plain(later))
+        assert np.array_equal(masked(later, root), plain(later, root))
 
 
 class TestMaskedDecoding:
