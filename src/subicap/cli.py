@@ -9,8 +9,8 @@ configs; only manifest timestamp/duration fields may differ.
 One table, COMMANDS, declares every subcommand: its help, its cmd_*
 function and its options, each an Option(name, kind, default), maybe
 repeatable, with flag --name ('-' for '_'). A kind is int, COUNT (an
-integer >= 1), NATURAL (an integer >= 0), float, str or a tuple of choices;
-a default may be REQUIRED.
+integer >= 1), NATURAL (an integer >= 0), POSITIVE (a finite number > 0),
+str or a tuple of choices; a default may be REQUIRED.
 The parser, the --config JSON file, the defaults and the checks all come
 from it. Precedence: flag, then config file (null counts as absent), then
 default; every resolved value is checked against its kind, from whichever
@@ -88,6 +88,7 @@ def _write_manifest(primary_out: Path, subcommand: str, arguments: dict,
 
 COUNT = "count"  # kind: an integer >= 1
 NATURAL = "natural"  # kind: an integer >= 0
+POSITIVE = "positive"  # kind: a finite number > 0
 REQUIRED = "required"  # default: the flag or the config file must set it
 
 # kind -> (what a value must be, its test, the argparse type that converts a
@@ -97,7 +98,9 @@ _KINDS = {
     int: ("an integer", lambda v: type(v) is int, int),
     COUNT: ("an integer >= 1", lambda v: type(v) is int and v >= 1, int),
     NATURAL: ("an integer >= 0", lambda v: type(v) is int and v >= 0, int),
-    float: ("a number", lambda v: type(v) in (int, float), float),
+    # nan fails both comparisons; an int too large for a float fails the second
+    POSITIVE: ("a finite number > 0",
+               lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max, float),
     str: ("a string", lambda v: type(v) is str, None),
 }
 
@@ -401,8 +404,8 @@ COMMANDS: dict[str, Command] = {
         Option("tokenizer", str, REQUIRED), Option("out", str, REQUIRED),
         Option("seed", NATURAL, 0), Option("images", COUNT, 10), Option("steps", COUNT, 300),
         *_model_dims(32, 2, 2, 64, 16, 8),
-        Option("max_len", COUNT, 32), Option("lr", float, 5e-4),
-        Option("decay_every", int, 500), Option("decay_factor", float, 0.8),
+        Option("max_len", COUNT, 32), Option("lr", POSITIVE, 5e-4),
+        Option("decay_every", int, 500), Option("decay_factor", POSITIVE, 0.8),
     )),
     "generate": Command("decode captions from a checkpoint", cmd_generate, (
         Option("checkpoint", str, REQUIRED), Option("tokenizer", str, REQUIRED),

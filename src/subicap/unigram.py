@@ -30,8 +30,10 @@ table, one step per character position across all words, with
 np.logaddexp / np.maximum reduceat; expected counts are one np.bincount in
 span order. These add in the order a scalar walk adds, so results are the
 same to the bit; for that the posterior's exp is libm's math.exp, since
-np.exp's SIMD kernel rounds differently. The tie-broken best path stays on
-the one scalar Viterbi, and encode memoises it per word.
+np.exp's SIMD kernel rounds differently. Pruning's best path of each word
+comes from the same max pass, traced back across all words at once; only
+a word with two best spans into a position on its path runs the one
+scalar Viterbi, which breaks the tie, and which encode memoises per word.
 """
 
 from __future__ import annotations
@@ -592,26 +594,62 @@ def em_step(corpus: Corpus, vocab: SubwordVocab) -> tuple[SubwordVocab, float]:
     return vocab._rescored([math.log(e / total) for e in floored]), log_likelihood
 
 
+def _best_paths(table: LatticeTable, vocab: SubwordVocab
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each table word's best path score, and the (piece, word row) of every
+    unprotected piece on its tie-broken best path: once each, in (piece,
+    row) order.
+
+    One max pass over the table gives every position's best score; a span
+    is on a best path when it reaches its end's best score. Tracing those
+    spans back from each word's end, one piece per step across all words,
+    gives the word's path, unless a position on it has two such spans: only
+    those words run the scalar Viterbi, which breaks the tie.
+    """
+    n = len(table.words)
+    span_scores = np.array(vocab.scores)[table.piece_id]
+    src, dst = table.flat(table.start), table.flat(table.end)
+    best = table.sweeps()[0].run(np.maximum, np.zeros(table.base[-1]), src, span_scores)
+    on_path = np.flatnonzero(best[src] + span_scores == best[dst])
+    into = np.zeros(table.base[-1], dtype=np.int64)  # a best span into each position
+    into[dst[on_path]] = on_path
+    tie_at = np.bincount(dst[on_path], minlength=table.base[-1]) > 1
+    tied = np.zeros(n, dtype=bool)
+    keys = [np.zeros(0, dtype=np.int64)]  # piece * n + row per path piece
+    row, pos = np.arange(n), table.base[1:] - 1
+    while len(row):
+        span = into[pos]
+        tied[row[tie_at[pos]]] = True
+        keys.append(table.piece_id[span].astype(np.int64) * n + row)
+        pos = src[span]
+        more = pos > table.base[row]
+        row, pos = row[more], pos[more]
+    keys = np.concatenate(keys)
+    pieces, rows = np.divmod(keys, n)
+    keep = np.array([p not in vocab.required_chars for p, _ in vocab.entries])[pieces]
+    keep[tied[rows]] = False  # a tied word's path is the scalar Viterbi's
+    tie_keys = [vocab.piece_to_id[p] * n + r for r in np.flatnonzero(tied).tolist()
+                for p in _viterbi_word(table.words[r], vocab)[0]
+                if p not in vocab.required_chars]
+    keys = np.concatenate((keys[keep], np.array(tie_keys, dtype=np.int64)))
+    # a stable argsort, whose kernel the lattice sweeps already use: np.sort
+    # would map one more of numpy's sort kernels into memory
+    keys = keys[np.argsort(keys, kind="stable")]
+    used, rows = np.divmod(keys[_run_starts(keys)], n)
+    return best[table.base[1:] - 1], used, rows
+
+
 def _kept_pieces(corpus: Corpus, vocab: SubwordVocab, keep: int) -> set[str]:
     """The `keep` multi-character pieces whose removal costs the most."""
     table = vocab.table(corpus.word_counts)
-    protected = vocab.required_chars
-    base_scores: list[float] = []
-    pairs: list[tuple[int, int]] = []  # (piece, word row) for each piece on a best path
-    for row, word in enumerate(table.words):
-        pieces, score = _viterbi_word(word, vocab)
-        base_scores.append(score)
-        pairs.extend((vocab.piece_to_id[p], row)
-                     for p in dict.fromkeys(pieces) if p not in protected)
-    pairs.sort()
-    used, rows = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    base_scores, used, rows = _best_paths(table, vocab)
     without = table.best_without(rows, used, np.array(vocab.scores))
     counts = np.array(list(corpus.word_counts.values()), dtype=np.float64)
-    losses = np.bincount(used, counts[rows] * (np.array(base_scores)[rows] - without),
-                         vocab.size)
+    losses = np.bincount(used, counts[rows] * (base_scores[rows] - without), vocab.size)
     uses = np.bincount(used, minlength=vocab.size)
     # rank by (loss desc, words using it desc, piece asc): a stable sort of
     # the candidates in piece order
+    protected = vocab.required_chars
     pieces = [p for p, _ in vocab.entries]
     candidates = np.array(sorted((i for i, p in enumerate(pieces) if p not in protected),
                                  key=pieces.__getitem__), dtype=np.int64)

@@ -248,6 +248,14 @@ class TestConfigPrecedence:
           "--merges", "-3"], None, "--merges"),
         (["train-tokenizer", "--corpus", "none.tsv", "--algo", "bpe", "--out", "o"],
          {"merges": -3}, "--merges"),
+        *((["train-lm", "--tokenizer", "none.tsv", "--out", "o", f"--lr={v}"], None,
+           "--lr") for v in ("inf", "-inf", "nan", "0", "-1e-3")),
+        *((["train-lm", "--tokenizer", "none.tsv", "--out", "o"], {"lr": v}, "--lr")
+          for v in (float("inf"), float("nan"), 0, -1, 10 ** 400)),
+        *((["train-lm", "--tokenizer", "none.tsv", "--out", "o",
+            f"--decay-factor={v}"], None, "--decay-factor") for v in ("inf", "nan", "0")),
+        (["train-lm", "--tokenizer", "none.tsv", "--out", "o"], {"decay_factor": -0.5},
+         "--decay-factor"),
     ])
     def test_config_values_are_checked_like_flags(self, tmp_path, capsys,
                                                   monkeypatch, argv, config, flag):

@@ -10,6 +10,8 @@ import math
 import conftest
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from subicap.errors import CheckpointError
@@ -32,6 +34,7 @@ from subicap.model.transformer import (
     save_checkpoint,
     sinusoid_positions,
     target_logits,
+    unflatten,
 )
 
 CFG = ModelConfig(vocab_size=12, d_model=8, n_enc_layers=2, n_dec_layers=2,
@@ -460,7 +463,47 @@ class TestFlatParameters:
             flatten(params, CFG)
 
 
+# float64 bit patterns a random draw rarely hits: -0.0, the smallest
+# subnormal, both infinities, a quiet nan with a payload, a signalling nan
+SPECIAL_BITS = (0x8000000000000000, 0x0000000000000001, 0x7FF0000000000000,
+                0xFFF0000000000000, 0x7FF8000000000123, 0x7FF0000000000001)
+
+
+@st.composite
+def model_and_params(draw):
+    """A small config and parameters of any float64 bits: random patterns
+    (nan and inf among them), with some of SPECIAL_BITS put in."""
+    heads = draw(st.integers(1, 2))
+    cfg = ModelConfig(
+        vocab_size=draw(st.integers(4, 9)), d_model=2 * heads * draw(st.integers(1, 2)),
+        n_enc_layers=draw(st.integers(1, 2)), n_dec_layers=draw(st.integers(1, 2)),
+        n_heads=heads, d_ff=draw(st.integers(1, 4)), d_in=draw(st.integers(1, 4)),
+        geo_embed_dim=2 * draw(st.integers(1, 2)), max_seq_len=draw(st.integers(1, 6)))
+    n = num_params(cfg)
+    bits = np.random.default_rng(draw(st.integers(0, 2**32))).integers(
+        0, 2**64, n, dtype=np.uint64, endpoint=False)
+    for i, special in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                              st.sampled_from(SPECIAL_BITS)), max_size=8)):
+        bits[i] = special
+    return cfg, unflatten(bits.view(np.float64).copy(), cfg)
+
+
 class TestCheckpoint:
+    @given(case=model_and_params())
+    @settings(max_examples=75, deadline=None, derandomize=True)
+    def test_save_load_save_is_byte_identical(self, tmp_path_factory, case):
+        cfg, params = case
+        d = tmp_path_factory.mktemp("ckpt")
+        save_checkpoint(d / "one.ckpt", params, cfg)
+        loaded, loaded_cfg = load_checkpoint(d / "one.ckpt")
+        save_checkpoint(d / "two.ckpt", loaded, loaded_cfg)
+        assert (d / "one.ckpt").read_bytes() == (d / "two.ckpt").read_bytes()
+        assert loaded_cfg == cfg
+        assert list(loaded) == list(params)
+        for name, tensor in params.items():
+            assert loaded[name].shape == tensor.shape
+            assert loaded[name].tobytes() == tensor.tobytes()
+
     def test_roundtrip_bitwise(self, tmp_path):
         params = init_params(CFG, seed=3)
         path = tmp_path / "model.ckpt"

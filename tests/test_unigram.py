@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_em_step, reference_prune_vocab
+from conftest import reference_em_step, reference_prune_vocab, reference_viterbi
 from subicap import unigram
 from subicap.cli import main
 from subicap.corpus import Corpus, bundled_corpus_path, load_corpus, normalize_text
@@ -691,8 +691,55 @@ class TestLatticeTable:
         assert built == ["cat", "a", "at"]
 
 
+def _has_tied_position(word, vocab):
+    """Whether two spans reach some position of `word` with its best score."""
+    lattice = build_lattice(word, vocab)
+    spans = [(i, lattice.ends[k], vocab.scores[lattice.piece_ids[k]])
+             for i in range(len(word))
+             for k in range(lattice.offsets[i], lattice.offsets[i + 1])]
+    best = [0.0] + [-math.inf] * len(word)
+    for i, j, score in spans:  # by start, so best[i] is final
+        best[j] = max(best[j], best[i] + score)
+    ends = [j for i, j, score in spans if best[i] + score == best[j]]
+    return len(ends) > len(set(ends))
+
+
 class TestScalarOracle:
     """em_step and prune_vocab equal the scalar walks over fresh lattices."""
+
+    @given(case=corpus_and_vocab())
+    @settings(max_examples=75, deadline=None, derandomize=True)
+    def test_best_paths_equal_the_scalar_viterbi(self, case):
+        corpus, vocab, _ = case
+        table = vocab.table(corpus.word_counts)
+        scores, used, rows = unigram._best_paths(table, vocab)
+        # each (piece, row) once, in (piece, row) order
+        assert np.all(np.diff(used * len(table.words) + rows) > 0)
+        for row, word in enumerate(table.words):
+            pieces, score = reference_viterbi(word, vocab)
+            assert scores[row].hex() == score.hex()
+            assert sorted(used[rows == row].tolist()) == sorted(
+                {vocab.piece_to_id[p] for p in pieces if p not in vocab.required_chars})
+
+    def test_training_runs_the_scalar_viterbi_only_for_tied_words(self, monkeypatch):
+        calls = []
+        scalar = unigram._viterbi_word
+
+        def counted(word, vocab):
+            calls.append((word, vocab))
+            return scalar(word, vocab)
+
+        monkeypatch.setattr(unigram, "_viterbi_word", counted)
+        corpus = load_corpus(bundled_corpus_path())
+        train_unigram(corpus, TrainerConfig(300))
+        assert all(_has_tied_position(word, vocab) for word, vocab in calls)
+        assert len(calls) < len(corpus.word_counts)
+        # "cd" and [c, _d] score the same: the scalar picks "cd"
+        calls.clear()
+        vocab = _scored_vocab({**_coverage_singles("cd", score=-20.0),
+                               "c": -1.0, "_d": -1.0, "cd": -2.0})
+        prune_vocab(Corpus.from_texts(["cd"]), vocab, 0)
+        assert [word for word, _ in calls] == ["cd"]
 
     @given(case=corpus_and_vocab())
     @settings(max_examples=75, deadline=None, derandomize=True)
