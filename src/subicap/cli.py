@@ -313,7 +313,10 @@ def cmd_train_lm(r: dict) -> int:
     params = transformer.init_params(cfg, seed=r["seed"])
     tcfg = training.TrainConfig(lr=r["lr"], decay_every=r["decay_every"],
                                 decay_factor=r["decay_factor"])
-    history = training.fit(batch, params, cfg, tcfg, steps=r["steps"])
+    # a diverging run overflows on its way to a non-finite loss, which
+    # train_step reports as the one error line
+    with np.errstate(all="ignore"):
+        history = training.fit(batch, params, cfg, tcfg, steps=r["steps"])
     transformer.save_checkpoint(out, params, cfg)
     log.info("final loss %.6f after %d steps -> %s", history[-1], r["steps"], out)
     _write_manifest(out, "train-lm", r, {"tokenizer": r["tokenizer"]},
@@ -405,7 +408,7 @@ COMMANDS: dict[str, Command] = {
         Option("seed", NATURAL, 0), Option("images", COUNT, 10), Option("steps", COUNT, 300),
         *_model_dims(32, 2, 2, 64, 16, 8),
         Option("max_len", COUNT, 32), Option("lr", POSITIVE, 5e-4),
-        Option("decay_every", int, 500), Option("decay_factor", POSITIVE, 0.8),
+        Option("decay_every", NATURAL, 500), Option("decay_factor", POSITIVE, 0.8),
     )),
     "generate": Command("decode captions from a checkpoint", cmd_generate, (
         Option("checkpoint", str, REQUIRED), Option("tokenizer", str, REQUIRED),

@@ -79,16 +79,16 @@ class ModelConfig:
     def __post_init__(self):
         if self.vocab_size < 4:
             raise ValueError("vocab_size must cover the controls plus one piece")
+        for field in ("d_model", "n_enc_layers", "n_dec_layers", "n_heads",
+                      "d_ff", "d_in", "max_seq_len"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be >= 1")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
         if self.d_model % 2:
             raise ValueError("d_model must be even for sinusoidal positions")
         if self.geo_embed_dim < 2 or self.geo_embed_dim % 2:
             raise ValueError("geo_embed_dim must be even and >= 2")
-        for field in ("d_model", "n_enc_layers", "n_dec_layers", "n_heads",
-                      "d_ff", "d_in", "max_seq_len"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be >= 1")
 
     @property
     def d_head(self) -> int:
@@ -674,9 +674,9 @@ def _header_config(header, path) -> ModelConfig:
     """The config of a parsed header, after checking the header's schema."""
     if not isinstance(header, dict) or header.get("format") != _CKPT_FORMAT:
         raise CheckpointError(f"{path}: not a checkpoint file")
-    if header.get("version") != _CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version "
-                              f"{header.get('version')!r}")
+    version = header.get("version")
+    if type(version) is not int or version != _CKPT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
     config = header.get("config")
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: header has no config object")

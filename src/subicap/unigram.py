@@ -19,21 +19,23 @@ likelihood, until the target size is reached. Single-character pieces needed
 for coverage are never pruned. All loops accumulate in corpus order, so
 results are bitwise reproducible.
 
-A lattice depends only on the piece set, not on the scores, so each piece
-set has one lattice table over the training words: the (word, start, end,
-piece id) of every match as flat int arrays in (word, start, end) order,
-from one build_lattice call per distinct word. em_step hands the re-scored
-vocabulary the same table; prune_vocab filters its spans to the survivors
-and renumbers them, keeping their order. EM's forward and backward sums
-and pruning's best path without each piece run as array passes over the
-table, one step per character position across all words, with
-np.logaddexp / np.maximum reduceat; expected counts are one np.bincount in
-span order. These add in the order a scalar walk adds, so results are the
-same to the bit; for that the posterior's exp is libm's math.exp, since
-np.exp's SIMD kernel rounds differently. Pruning's best path of each word
-comes from the same max pass, traced back across all words at once; only
-a word with two best spans into a position on its path runs the one
-scalar Viterbi, which breaks the tie, and which encode memoises per word.
+A lattice is the (start, end, piece id) of every vocabulary match over a
+word, as parallel int arrays in (start, end) order. It depends only on the
+piece set, not on the scores, so each piece set has one lattice table over
+the training words: the same spans with a word column, in (word, start,
+end) order, from one build_lattice call per distinct word. em_step hands
+the re-scored vocabulary the same table; prune_vocab filters its spans to
+the survivors and renumbers them, keeping their order. EM's forward and
+backward sums and pruning's best path without each piece run as array
+passes over the table, one step per character position across all words,
+with np.logaddexp / np.maximum reduceat; expected counts are one
+np.bincount in span order. These add in the order a scalar walk adds, so
+results are the same to the bit; for that the posterior's exp is libm's
+math.exp, since np.exp's SIMD kernel rounds differently. Pruning's best
+path of each word comes from the same max pass, traced back across all
+words at once; only a word with two best spans into a position on its path
+rebuilds its lattice and runs the one scalar Viterbi, which breaks the
+tie, and which encode memoises per word.
 """
 
 from __future__ import annotations
@@ -189,13 +191,6 @@ class SubwordVocab:
             return CONTROL_TOKENS[token_id]
         return self.entries[token_id - NUM_CONTROLS][0]
 
-    def lattice(self, word: str) -> Lattice:
-        """The lattice of `word`: its rows of the table if the table holds
-        the word, else built."""
-        table = self._table
-        row = None if table is None else table.rows.get(word)
-        return build_lattice(word, self) if row is None else table.lattice(row)
-
     def table(self, words: Iterable[str]) -> LatticeTable:
         """The lattice table over `words`, in their order; built on the
         first call and again only when the words differ."""
@@ -234,26 +229,18 @@ class LatticeSpan(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class Lattice:
-    """All vocabulary matches over one word, ordered by (start, end).
-
-    The spans starting at position i are offsets[i]:offsets[i + 1] of the
-    parallel sequences ends and piece_ids. A lattice read from a table
-    indexes views of the table's arrays, which all its words share.
-    """
+    """All vocabulary matches over one word, ordered by (start, end): the
+    parallel int arrays starts, ends and piece_ids, one entry per span,
+    the layout of a lattice table's rows."""
 
     sentence: str
-    offsets: Sequence[int]
-    ends: Sequence[int]
-    piece_ids: Sequence[int]
+    starts: array
+    ends: array
+    piece_ids: array
 
     @property
     def spans(self) -> tuple[LatticeSpan, ...]:
-        offsets = self.offsets
-        return tuple(
-            LatticeSpan(i, self.ends[k], self.piece_ids[k])
-            for i in range(len(self.sentence))
-            for k in range(offsets[i], offsets[i + 1])
-        )
+        return tuple(map(LatticeSpan, self.starts, self.ends, self.piece_ids))
 
 
 def _bases(lengths: np.ndarray) -> np.ndarray:
@@ -302,13 +289,11 @@ class LatticeTable:
     def __init__(self, words: tuple[str, ...], word: np.ndarray, start: np.ndarray,
                  end: np.ndarray, piece_id: np.ndarray):
         self.words = words
-        self.rows = {w: r for r, w in enumerate(words)}
         self.word, self.start, self.end, self.piece_id = word, start, end, piece_id
         self.offsets = np.searchsorted(word, np.arange(len(words) + 1))
         self.lengths = np.array([len(w) for w in words], dtype=np.int64)
         self.base = _bases(self.lengths)
         self._sweeps: tuple[_Sweep, _Sweep] | None = None
-        self._views: tuple[memoryview, memoryview, memoryview] | None = None
 
     @classmethod
     def build(cls, words: tuple[str, ...], vocab: SubwordVocab) -> LatticeTable:
@@ -316,9 +301,8 @@ class LatticeTable:
         word, start, end, piece_id = (array(_INT) for _ in range(4))
         for row, w in enumerate(words):
             lat = build_lattice(w, vocab)
-            for i in range(len(w)):
-                start.extend(repeat(i, lat.offsets[i + 1] - lat.offsets[i]))
             word.extend(repeat(row, len(lat.piece_ids)))
+            start.extend(lat.starts)
             end.extend(lat.ends)
             piece_id.extend(lat.piece_ids)
         return cls(words, *(np.frombuffer(a, dtype=np.intc)
@@ -327,15 +311,6 @@ class LatticeTable:
     def flat(self, positions: np.ndarray) -> np.ndarray:
         """Each span's position in its word (its start or end), as a flat index."""
         return self.base[self.word] + positions
-
-    def lattice(self, row: int) -> Lattice:
-        """The lattice of word `row`, over views of the table's arrays."""
-        if self._views is None:
-            firsts = np.searchsorted(self.flat(self.start), np.arange(self.base[-1] + 1))
-            self._views = memoryview(firsts), memoryview(self.end), memoryview(self.piece_id)
-        firsts, ends, piece_ids = self._views
-        return Lattice(self.words[row], firsts[self.base[row]:self.base[row + 1]],
-                       ends, piece_ids)
 
     def sweeps(self) -> tuple[_Sweep, _Sweep]:
         """The forward pass, by end, and the backward pass, by start from
@@ -384,32 +359,25 @@ def _span_piece(word: str, i: int, j: int) -> str | None:
     return CONTINUATION + word[i:j]
 
 
-def check_coverage(word: str, vocab: SubwordVocab) -> None:
-    """Every position must be coverable by a single-character piece."""
-    index = vocab.piece_to_id
-    for pos, ch in enumerate(word):
-        key = ch if pos == 0 else CONTINUATION + ch
-        if key not in index:
-            raise OutOfInventoryError(ch, pos)
-
-
 def build_lattice(word: str, vocab: SubwordVocab) -> Lattice:
+    """Raises OutOfInventoryError at the first position no single-character piece covers."""
     if not word:
         raise ValueError("cannot build a lattice over an empty word")
-    check_coverage(word, vocab)
     index = vocab.piece_to_id
     n = len(word)
     max_len = vocab.max_content_length
-    offsets, ends, piece_ids = array(_INT, [0]), array(_INT), array(_INT)
+    starts, ends, piece_ids = array(_INT), array(_INT), array(_INT)
     for i in range(n):
         for j in range(i + 1, min(i + max_len, n) + 1):
             key = _span_piece(word, i, j)
             pid = None if key is None else index.get(key)
             if pid is not None:
+                starts.append(i)
                 ends.append(j)
                 piece_ids.append(pid)
-        offsets.append(len(piece_ids))
-    return Lattice(word, offsets, ends, piece_ids)
+            elif j == i + 1:
+                raise OutOfInventoryError(word[i], i)
+    return Lattice(word, starts, ends, piece_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -423,28 +391,25 @@ def _viterbi_word(word: str, vocab: SubwordVocab) -> tuple[tuple[str, ...], floa
     piece sequence. Exact float equality is intentional: ties arise from
     identical score sums, and anything else is a genuine difference.
     """
-    lattice = vocab.lattice(word)
-    offsets, ends, piece_ids = lattice.offsets, lattice.ends, lattice.piece_ids
+    lattice = build_lattice(word, vocab)
     entries, scores = vocab.entries, vocab.scores
     n = len(word)
     # per position: (score, n_pieces, pieces), None until a span reaches it;
     # build_lattice checked coverage, so every position is reached. Spans are
-    # visited by start, so the candidates for one end arrive in order of start.
+    # in start order, so best[i] is final when the spans from i are read, and
+    # the candidates for one end arrive in order of start.
     best: list[tuple[float, int, tuple[str, ...]] | None] = [None] * (n + 1)
     best[0] = (0.0, 0, ())
-    for i in range(n):
+    for i, j, pid in zip(lattice.starts, lattice.ends, lattice.piece_ids):
         prev_score, prev_n, prev_pieces = best[i]
-        for k in range(offsets[i], offsets[i + 1]):
-            pid = piece_ids[k]
-            score = prev_score + scores[pid]
-            j = ends[k]
-            top = best[j]
-            if top is None or score > top[0]:
-                best[j] = (score, prev_n + 1, prev_pieces + (entries[pid][0],))
-            elif score == top[0]:
-                cand = (score, prev_n + 1, prev_pieces + (entries[pid][0],))
-                if cand[1:] < top[1:]:
-                    best[j] = cand
+        score = prev_score + scores[pid]
+        top = best[j]
+        if top is None or score > top[0]:
+            best[j] = (score, prev_n + 1, prev_pieces + (entries[pid][0],))
+        elif score == top[0]:
+            cand = (score, prev_n + 1, prev_pieces + (entries[pid][0],))
+            if cand[1:] < top[1:]:
+                best[j] = cand
     score, _, pieces = best[n]
     return pieces, score
 

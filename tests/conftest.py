@@ -107,27 +107,25 @@ def _log_add(a, b):
 def _word_forward_backward(lattice, scores, weight, expected):
     """Log marginal probability of one word; adds weight x posterior of
     every span to expected[piece_id], in span order."""
-    offsets, ends, piece_ids = lattice.offsets, lattice.ends, lattice.piece_ids
+    spans = list(zip(lattice.starts, lattice.ends, lattice.piece_ids))
     n = len(lattice.sentence)
     # forward by start: each end position sums its spans in order of start
     fwd = [NEG_INF] * (n + 1)
     fwd[0] = 0.0
-    for i in range(n):
-        for k in range(offsets[i], offsets[i + 1]):
-            j = ends[k]
-            fwd[j] = _log_add(fwd[j], fwd[i] + scores[piece_ids[k]])
+    for i, j, pid in spans:
+        fwd[j] = _log_add(fwd[j], fwd[i] + scores[pid])
     log_z = fwd[n]
+    # backward by start from the last: each start sums its spans in order of end
     bwd = [NEG_INF] * (n + 1)
     bwd[n] = 0.0
     for i in range(n - 1, -1, -1):
         acc = NEG_INF
-        for k in range(offsets[i], offsets[i + 1]):
-            acc = _log_add(acc, scores[piece_ids[k]] + bwd[ends[k]])
+        for start, j, pid in spans:
+            if start == i:
+                acc = _log_add(acc, scores[pid] + bwd[j])
         bwd[i] = acc
-    for i in range(n):
-        for k in range(offsets[i], offsets[i + 1]):
-            pid = piece_ids[k]
-            expected[pid] += weight * math.exp(fwd[i] + scores[pid] + bwd[ends[k]] - log_z)
+    for i, j, pid in spans:
+        expected[pid] += weight * math.exp(fwd[i] + scores[pid] + bwd[j] - log_z)
     return log_z
 
 
@@ -149,20 +147,18 @@ def reference_viterbi(word, vocab, skip_piece=None):
     """Best (pieces, score) of one word without piece id skip_piece; ties
     prefer fewer pieces, then the smallest piece sequence."""
     lattice = build_lattice(word, vocab)
-    offsets, ends, piece_ids = lattice.offsets, lattice.ends, lattice.piece_ids
     best = [None] * (len(word) + 1)
     best[0] = (0.0, 0, ())
-    for i in range(len(word)):
+    # by start, so best[i] is final when the spans from i are read
+    for i, j, pid in zip(lattice.starts, lattice.ends, lattice.piece_ids):
+        if pid == skip_piece:
+            continue
         prev = best[i]
-        for k in range(offsets[i], offsets[i + 1]):
-            pid = piece_ids[k]
-            if pid == skip_piece:
-                continue
-            cand = (prev[0] + vocab.scores[pid], prev[1] + 1,
-                    prev[2] + (vocab.entries[pid][0],))
-            top = best[ends[k]]
-            if top is None or cand[0] > top[0] or (cand[0] == top[0] and cand[1:] < top[1:]):
-                best[ends[k]] = cand
+        cand = (prev[0] + vocab.scores[pid], prev[1] + 1,
+                prev[2] + (vocab.entries[pid][0],))
+        top = best[j]
+        if top is None or cand[0] > top[0] or (cand[0] == top[0] and cand[1:] < top[1:]):
+            best[j] = cand
     return best[-1][2], best[-1][0]
 
 

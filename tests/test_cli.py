@@ -5,14 +5,21 @@ filesystem output must carry a manifest sibling, and repeated runs must be
 byte-identical up to manifest timestamps.
 """
 
+import contextlib
+import dataclasses
 import io
 import json
 import logging
+import struct
+import tempfile
+import warnings
 from pathlib import Path
 
 import conftest
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subicap.baselines import load_word_vocab
 from subicap.cli import build_parser, main
@@ -256,6 +263,10 @@ class TestConfigPrecedence:
             f"--decay-factor={v}"], None, "--decay-factor") for v in ("inf", "nan", "0")),
         (["train-lm", "--tokenizer", "none.tsv", "--out", "o"], {"decay_factor": -0.5},
          "--decay-factor"),
+        (["train-lm", "--tokenizer", "none.tsv", "--out", "o", "--decay-every", "-1"],
+         None, "--decay-every"),
+        (["train-lm", "--tokenizer", "none.tsv", "--out", "o"], {"decay_every": -500},
+         "--decay-every"),
     ])
     def test_config_values_are_checked_like_flags(self, tmp_path, capsys,
                                                   monkeypatch, argv, config, flag):
@@ -549,12 +560,26 @@ class TestTrainLmChecks:
         assert 2 <= len(steps) <= 4
         assert steps[0].startswith("step=0 ") and steps[-1].startswith("step=249 ")
 
+    def test_diverging_lr_reports_one_line_and_no_warnings(self, vocab_file, tmp_path,
+                                                         capsys):
+        # the overflows on the way to a nan loss must not print as warnings
+        out = tmp_path / "model.ckpt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train-lm", "--tokenizer", str(vocab_file), "--out", str(out),
+                       "--steps", "3", "--images", "2", "--lr", "1e300"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("subicap: error: non-finite loss")
+        assert len(err.splitlines()) == 1
+
 
 @pytest.mark.parametrize("edit", [
     lambda h: h.pop("config"),
     lambda h: h["config"].update(dropout=0),
     lambda h: h["config"].update(d_model="16"),
-], ids=["missing-config", "unknown-config-key", "string-d-model"])
+    lambda h: h["config"].update(n_heads=0),
+], ids=["missing-config", "unknown-config-key", "string-d-model", "zero-heads"])
 def test_generate_rejects_malformed_checkpoint_header(checkpoint, vocab_file,
                                                       tmp_path, capsys, edit):
     bad = tmp_path / "bad.ckpt"
@@ -565,6 +590,80 @@ def test_generate_rejects_malformed_checkpoint_header(checkpoint, vocab_file,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("subicap: error:") and len(err.splitlines()) == 1
+
+
+# small values only: a valid header with a huge max_seq_len decodes for minutes
+_JSON_VALUES = st.recursive(
+    st.integers(-3, 64) | st.booleans() | st.none() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5)
+_CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(transformer.ModelConfig))
+# a path into the header; an int picks a tensor table entry, modulo its length
+_HEADER_PATHS = (
+    st.sampled_from([("format",), ("version",), ("config",), ("tensors",)])
+    | st.sampled_from(_CONFIG_KEYS).map(lambda k: ("config", k))
+    | st.tuples(st.just("tensors"), st.integers(0, 40))
+    | st.tuples(st.just("tensors"), st.integers(0, 40),
+                st.sampled_from(["name", "shape", "dtype"])))
+_HEADER_EDITS = (st.tuples(st.just("set"), _HEADER_PATHS, _JSON_VALUES)
+                 | st.tuples(st.just("drop"), _HEADER_PATHS)
+                 | st.tuples(st.just("duplicate"), st.integers(0, 40)))
+
+
+def _apply_header_edit(header, edit):
+    """("set", path, value), ("drop", path) or ("duplicate", k): the last
+    inserts a copy of tensor table entry k."""
+    if edit[0] == "duplicate":
+        tensors = header["tensors"]
+        tensors.insert(edit[1], dict(tensors[edit[1] % len(tensors)]))
+        return
+    node, path = header, list(edit[1])
+    for i, key in enumerate(path):
+        if isinstance(key, int):
+            path[i] = key = key % len(node)
+        if i < len(path) - 1:
+            node = node[key]
+    if edit[0] == "set":
+        node[path[-1]] = edit[2]
+    else:
+        node.pop(path[-1])
+
+
+def _header_text(path):
+    """A checkpoint's JSON header, re-serialized with sorted keys."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[:4])
+    return json.dumps(json.loads(raw[4 : 4 + n]), sort_keys=True)
+
+
+@given(edit=_HEADER_EDITS)
+@example(edit=("set", ("version",), True))  # loaded once, as True == 1
+@example(edit=("set", ("config", "n_heads"), 0))  # divided by zero once
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_generate_survives_any_header_edit(one_step_model, edit):
+    # Either generate captions the image, and the edited header is, value
+    # and JSON type alike, the one save_checkpoint writes for the config it
+    # loaded, or it fails with the one-line error contract.
+    vocab, ckpt = one_step_model
+    with tempfile.TemporaryDirectory() as d:
+        bad, out = Path(d) / "bad.ckpt", Path(d) / "gen.txt"
+        bad.write_bytes(ckpt.read_bytes())
+        conftest.edit_checkpoint_header(bad, lambda h: _apply_header_edit(h, edit))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["generate", "--checkpoint", str(bad), "--tokenizer", str(vocab),
+                       "--out", str(out), "--images", "1", "--beam", "1"])
+        if rc == 0:
+            assert len(out.read_text(encoding="utf-8").splitlines()) == 1
+            params, cfg = load_checkpoint(bad)
+            transformer.save_checkpoint(Path(d) / "resaved.ckpt", params, cfg)
+            assert _header_text(bad) == _header_text(Path(d) / "resaved.ckpt")
+        else:
+            assert rc == 2
+            assert err.getvalue().startswith("subicap: error:")
+            assert len(err.getvalue().splitlines()) == 1
+            assert not out.exists()
 
 
 class TestErrorContract:

@@ -31,6 +31,7 @@ from subicap.unigram import (
     CONTINUATION,
     EOS_ID,
     NUM_CONTROLS,
+    LatticeTable,
     PAD_ID,
     SubwordVocab,
     TrainerConfig,
@@ -196,9 +197,15 @@ class TestLattice:
                    for s, p in starts)
 
     def test_coverage_check_raises_with_position(self):
-        v = _uniform_vocab(["a", "_a"])
-        with pytest.raises(OutOfInventoryError):
-            build_lattice("ax", v)
+        for pieces, word, position in [
+            (["a", "_a"], "xa", 0),  # the first character
+            (["a", "_a"], "ax", 1),  # a later character
+            (["a", "_a", "ax"], "ax", 1),  # a position a multi-character piece spans
+            (["a", "_a", "_xa"], "axa", 1),  # one a multi-character piece starts at
+        ]:
+            with pytest.raises(OutOfInventoryError) as err:
+                build_lattice(word, _uniform_vocab(pieces))
+            assert (err.value.char, err.value.position) == ("x", position)
 
     def test_internal_position_needs_marked_single(self):
         # "b" exists unmarked only, so position 1 of "ab" is uncoverable
@@ -647,9 +654,10 @@ class TestLatticeTable:
         pruned = prune_vocab(corpus, filled, keep)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(unigram, "build_lattice", _no_build)
-            derived = [pruned.lattice(w) for w in corpus.word_counts]
-        for word, lat in zip(corpus.word_counts, derived):
-            assert lat.spans == build_lattice(word, pruned).spans
+            derived = pruned.table(corpus.word_counts)
+        fresh = LatticeTable.build(derived.words, pruned)
+        for name in ("word", "start", "end", "piece_id"):
+            assert np.array_equal(getattr(derived, name), getattr(fresh, name)), name
 
     @given(case=corpus_and_vocab())
     @settings(max_examples=75, deadline=None, derandomize=True)
@@ -694,9 +702,8 @@ class TestLatticeTable:
 def _has_tied_position(word, vocab):
     """Whether two spans reach some position of `word` with its best score."""
     lattice = build_lattice(word, vocab)
-    spans = [(i, lattice.ends[k], vocab.scores[lattice.piece_ids[k]])
-             for i in range(len(word))
-             for k in range(lattice.offsets[i], lattice.offsets[i + 1])]
+    spans = [(i, j, vocab.scores[pid])
+             for i, j, pid in zip(lattice.starts, lattice.ends, lattice.piece_ids)]
     best = [0.0] + [-math.inf] * len(word)
     for i, j, score in spans:  # by start, so best[i] is final
         best[j] = max(best[j], best[i] + score)
