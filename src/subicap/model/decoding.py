@@ -13,16 +13,16 @@ scorer may ignore parents and score the prefixes alone; any such scorer
 drives the same search.
 
 Hypotheses are compared by total log probability divided by the number of
-generated tokens (<eos> included when emitted); ties break toward the
-lexicographically smaller id sequence. Within a step, candidates rank by
-score descending, then by token sequence ascending. The search keeps its
-live prefixes sorted, so a candidate's flat index row * V + token orders
-candidates exactly as their sequences do, and ranking by (-score, flat
-index) is the tie rule. Width 1 is greedy decoding exactly: at every step
-the single kept candidate is the argmax extension, with the first index
-winning a tie, so the result is the argmax chain. A candidate scored -inf
-is never kept, so the caption model's masked tokens never enter a
-hypothesis.
+generated tokens (<eos> included when emitted); ties break toward fewer
+content tokens, then the lexicographically smaller id sequence. Within a
+step, candidates rank by score descending, then by token sequence
+ascending. The search keeps its live prefixes sorted, so a candidate's flat
+index row * V + token orders candidates exactly as their sequences do, and
+ranking by (-score, flat index) is the tie rule. Width 1 is greedy
+decoding exactly: at every step the single kept candidate is the argmax
+extension, with the first index winning a tie, so the result is the argmax
+chain. A candidate scored -inf is never kept, so the caption model's masked
+tokens never enter a hypothesis.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def beam_rows_decode(rows_fn: RowsFn, beam: int, max_len: int) -> Hypothesis:
         if not live:
             break
     finished += [Hypothesis(seq[1:], score, False) for seq, score in live]
-    return max(finished, key=lambda h: (h.norm_score, -len(h.token_ids), h.token_ids))
+    return min(finished, key=lambda h: (-h.norm_score, len(h.token_ids), h.token_ids))
 
 
 def beam_search(

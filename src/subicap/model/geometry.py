@@ -97,25 +97,25 @@ def displacement_matrix(regions: RegionSet) -> np.ndarray:
     )
 
 
-def positional_embed(lam: np.ndarray, dim: int) -> np.ndarray:
-    """Sin/cos features per displacement component.
+def sinusoid(x: np.ndarray, dim: int, base: float) -> np.ndarray:
+    """(...) -> (..., dim): interleaved sin(x*w_i), cos(x*w_i) where
+    w_i = base**(-2i/dim), so zero embeds to (0, 1, 0, 1, ...)."""
+    phase = x[..., None] * base ** (-2.0 * np.arange(dim // 2) / dim)
+    out = np.empty(x.shape + (dim,))
+    out[..., 0::2] = np.sin(phase)
+    out[..., 1::2] = np.cos(phase)
+    return out
 
-    Input (..., 4) -> output (..., 4*dim). Component c fills slots
-    [c*dim, (c+1)*dim) with interleaved sin(x*w_i), cos(x*w_i) where
-    w_i = EMBED_BASE**(-2i/dim). A zero vector therefore embeds to
-    (0, 1, 0, 1, ...).
-    """
+
+def positional_embed(lam: np.ndarray, dim: int) -> np.ndarray:
+    """Sin/cos features per displacement component, (..., 4) -> (..., 4*dim):
+    component c fills slots [c*dim, (c+1)*dim) with sinusoid(x, dim, EMBED_BASE)."""
     if dim < 2 or dim % 2:
         raise ValueError(f"embedding dim must be even and >= 2, got {dim}")
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape[-1] != N_DISP_FEATURES:
         raise ValueError(f"expected trailing dim {N_DISP_FEATURES}, got {lam.shape}")
-    freqs = EMBED_BASE ** (-2.0 * np.arange(dim // 2) / dim)
-    phase = lam[..., :, None] * freqs  # (..., 4, dim/2)
-    out = np.empty(lam.shape[:-1] + (N_DISP_FEATURES, dim))
-    out[..., 0::2] = np.sin(phase)
-    out[..., 1::2] = np.cos(phase)
-    return out.reshape(lam.shape[:-1] + (N_DISP_FEATURES * dim,))
+    return sinusoid(lam, dim, EMBED_BASE).reshape(lam.shape[:-1] + (N_DISP_FEATURES * dim,))
 
 
 def gated_softmax(scores: np.ndarray, gates: np.ndarray):

@@ -53,12 +53,15 @@ from .geometry import (
     displacement_matrix,
     gated_softmax,
     positional_embed,
+    sinusoid,
 )
 
 PAD_ID, BOS_ID, EOS_ID = 0, 1, 2
 
 _LN_EPS = 1e-5
 _POS_BASE = 10000.0
+# the longest max_seq_len a model may declare (32x the default): no tensor holds it
+MAX_SEQ_LEN = 1024
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,8 @@ class ModelConfig:
                       "d_ff", "d_in", "max_seq_len"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")
+        if self.max_seq_len > MAX_SEQ_LEN:
+            raise ValueError(f"max_seq_len must be <= {MAX_SEQ_LEN}")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
         if self.d_model % 2:
@@ -404,13 +409,7 @@ def encoder_forward(regions: RegionSet, params, cfg: ModelConfig) -> np.ndarray:
 
 
 def sinusoid_positions(n: int, d: int) -> np.ndarray:
-    pos = np.arange(n)[:, None]
-    freqs = _POS_BASE ** (-2.0 * np.arange(d // 2) / d)
-    phase = pos * freqs
-    out = np.empty((n, d))
-    out[:, 0::2] = np.sin(phase)
-    out[:, 1::2] = np.cos(phase)
-    return out
+    return sinusoid(np.arange(n), d, _POS_BASE)
 
 
 @functools.lru_cache(maxsize=16)

@@ -8,9 +8,11 @@ is a word start (a word whose text begins with an underscore), never a
 continuation.
 
 The vocabulary is a probability simplex over pieces: entry scores are natural
-log probabilities summing to one. The three control tokens <pad>/<bos>/<eos>
-are not entries; they exist only in the serialized file (lines 0..2) and in
-the token-id space used by the caption model, where entry i has token id i+3.
+log probabilities summing to one, held as one column per per-piece fact in id
+order; EM and pruning derive their vocabulary by indexing their parent's. The
+control tokens <pad>/<bos>/<eos> are not entries; they exist only in the
+serialized file (lines 0..2) and in the caption model's token-id space, where
+entry i has token id i+3.
 
 Training follows the usual unigram-LM recipe: seed with frequent substrings,
 run EM over the per-word segmentation lattices, and interleave pruning rounds
@@ -45,7 +47,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -124,20 +126,20 @@ class TrainerConfig:
 class SubwordVocab:
     """Immutable piece inventory with log-probability scores.
 
-    entries: (piece, score) in id order; scores are finite, <= 0, and
-    exp-sum to one, and `scores` holds them alone in the same order.
-    required_chars holds the protected single-character pieces (both marker
-    forms) that pruning must keep.
+    Parallel columns in id order: pieces; scores, as Python floats, finite,
+    <= 0 and exp-summing to one; lengths, the pieces' content lengths as an
+    int array. entries pairs pieces with scores. required_chars holds the
+    protected single-character pieces (both marker forms) that pruning must
+    keep. Only the constructor validates: em_step and prune_vocab index
+    their parent's columns and lattice table (see _derived).
 
     The lattice table (see table()) is built on first use over the words
-    asked for. em_step shares it with the vocabulary it returns and
-    prune_vocab filters it into the survivors' table. The segmentation
-    memo maps a word to its best (pieces, score). Both are derived data,
-    pure functions of the entries, so the vocabulary stays immutable in
-    every observable way.
+    asked for; the segmentation memo maps a word to its best (pieces,
+    score). Both are derived data, pure functions of the columns, so the
+    vocabulary stays immutable in every observable way.
     """
 
-    __slots__ = ("entries", "scores", "piece_to_id", "required_chars",
+    __slots__ = ("pieces", "scores", "lengths", "piece_to_id", "required_chars",
                  "max_content_length", "_table", "_segmentations")
 
     def __init__(self, entries: Sequence[tuple[str, float]]):
@@ -151,32 +153,34 @@ class SubwordVocab:
             if not math.isfinite(score) or score > 1e-9:
                 raise VocabFormatError(f"piece {piece!r} has invalid score {score}")
             index[piece] = i
-        self.entries: tuple[tuple[str, float], ...] = ents
+        self.pieces: tuple[str, ...] = tuple(p for p, _ in ents)
         self.scores: tuple[float, ...] = tuple(s for _, s in ents)
+        self.lengths = np.array([len(piece_content(p)) for p in self.pieces], np.int64)
         self.piece_to_id: dict[str, int] = index
-        lengths = [len(piece_content(p)) for p, _ in ents]
-        self.required_chars: frozenset[str] = frozenset(
-            p for (p, _), n in zip(ents, lengths) if n == 1
-        )
-        self.max_content_length: int = max(lengths, default=1)
+        self.required_chars = frozenset(compress(self.pieces, self.lengths == 1))
+        self.max_content_length: int = int(self.lengths.max(initial=1))
         self._table: LatticeTable | None = None
         self._segmentations: dict[str, tuple[tuple[str, ...], float]] = {}
 
     @property
+    def entries(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self.pieces, self.scores))
+
+    @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.pieces)
 
     @property
     def num_tokens(self) -> int:
         """Size of the model token-id space, controls included."""
-        return len(self.entries) + NUM_CONTROLS
+        return len(self.pieces) + NUM_CONTROLS
 
     def __contains__(self, piece: str) -> bool:
         return piece in self.piece_to_id
 
     def score(self, piece: str) -> float:
         try:
-            return self.entries[self.piece_to_id[piece]][1]
+            return self.scores[self.piece_to_id[piece]]
         except KeyError:
             raise UnknownPieceError(f"piece {piece!r} is not in the vocabulary") from None
 
@@ -189,7 +193,7 @@ class SubwordVocab:
     def piece_of_token(self, token_id: int) -> str:
         if token_id < NUM_CONTROLS:
             return CONTROL_TOKENS[token_id]
-        return self.entries[token_id - NUM_CONTROLS][0]
+        return self.pieces[token_id - NUM_CONTROLS]
 
     def table(self, words: Iterable[str]) -> LatticeTable:
         """The lattice table over `words`, in their order; built on the
@@ -199,17 +203,23 @@ class SubwordVocab:
             self._table = LatticeTable.build(words, self)
         return self._table
 
-    def _rescored(self, scores: Sequence[float]) -> SubwordVocab:
-        """The same pieces with new scores, which the caller has validated.
-
-        The copy shares every piece-derived field, the lattice table too,
-        and starts an empty segmentation memo.
-        """
-        rescored = copy.copy(self)
-        rescored.scores = tuple(scores)
-        rescored.entries = tuple(zip((p for p, _ in self.entries), rescored.scores))
-        rescored._segmentations = {}
-        return rescored
+    def _derived(self, scores: Sequence[float],
+                 ids: np.ndarray | None = None) -> SubwordVocab:
+        """The pieces `ids` (ascending; all if None) with new `scores`, which
+        the caller has validated: the columns, index and lattice table
+        indexed, and an empty segmentation memo. Every caller's ids keep
+        every single-character piece, so required_chars is shared."""
+        derived = copy.copy(self)
+        derived.scores, derived._segmentations = tuple(scores), {}
+        if ids is not None:
+            derived.pieces = tuple(map(self.pieces.__getitem__, ids.tolist()))
+            derived.lengths = self.lengths[ids]
+            derived.piece_to_id = dict(zip(derived.pieces, range(len(ids))))
+            derived.max_content_length = int(derived.lengths.max(initial=1))
+            new_ids = np.full(self.size, -1, dtype=np.intc)
+            new_ids[ids] = np.arange(len(ids))
+            derived._table = self._table.filtered(new_ids)
+        return derived
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +402,7 @@ def _viterbi_word(word: str, vocab: SubwordVocab) -> tuple[tuple[str, ...], floa
     identical score sums, and anything else is a genuine difference.
     """
     lattice = build_lattice(word, vocab)
-    entries, scores = vocab.entries, vocab.scores
+    pieces, scores = vocab.pieces, vocab.scores
     n = len(word)
     # per position: (score, n_pieces, pieces), None until a span reaches it;
     # build_lattice checked coverage, so every position is reached. Spans are
@@ -405,9 +415,9 @@ def _viterbi_word(word: str, vocab: SubwordVocab) -> tuple[tuple[str, ...], floa
         score = prev_score + scores[pid]
         top = best[j]
         if top is None or score > top[0]:
-            best[j] = (score, prev_n + 1, prev_pieces + (entries[pid][0],))
+            best[j] = (score, prev_n + 1, prev_pieces + (pieces[pid],))
         elif score == top[0]:
-            cand = (score, prev_n + 1, prev_pieces + (entries[pid][0],))
+            cand = (score, prev_n + 1, prev_pieces + (pieces[pid],))
             if cand[1:] < top[1:]:
                 best[j] = cand
     score, _, pieces = best[n]
@@ -506,14 +516,8 @@ def build_seed_vocab(corpus: Corpus, seed_size: int) -> SubwordVocab:
         marked = CONTINUATION + ch
         if counts.get(marked, 0) > 0:
             singles.append((marked, counts[marked]))
-    single_set = {p for p, _ in singles}
-    multi = [
-        (piece, c)
-        for piece, c in counts.items()
-        if piece not in single_set
-        and len(piece_content(piece)) >= 2
-        and c >= MIN_PIECE_COUNT
-    ]
+    multi = [(piece, c) for piece, c in counts.items()
+             if len(piece_content(piece)) >= 2 and c >= MIN_PIECE_COUNT]
     multi.sort(key=lambda item: (-item[1], item[0]))
     chosen = singles + multi[:seed_size]
     total = sum(c for _, c in chosen)
@@ -556,7 +560,7 @@ def em_step(corpus: Corpus, vocab: SubwordVocab) -> tuple[SubwordVocab, float]:
     floor = total_positive * _COUNT_FLOOR_FRACTION
     floored = [e if e > floor else floor for e in expected]
     total = sum(floored)
-    return vocab._rescored([math.log(e / total) for e in floored]), log_likelihood
+    return vocab._derived([math.log(e / total) for e in floored]), log_likelihood
 
 
 def _best_paths(table: LatticeTable, vocab: SubwordVocab
@@ -591,7 +595,7 @@ def _best_paths(table: LatticeTable, vocab: SubwordVocab
         row, pos = row[more], pos[more]
     keys = np.concatenate(keys)
     pieces, rows = np.divmod(keys, n)
-    keep = np.array([p not in vocab.required_chars for p, _ in vocab.entries])[pieces]
+    keep = vocab.lengths[pieces] > 1
     keep[tied[rows]] = False  # a tied word's path is the scalar Viterbi's
     tie_keys = [vocab.piece_to_id[p] * n + r for r in np.flatnonzero(tied).tolist()
                 for p in _viterbi_word(table.words[r], vocab)[0]
@@ -604,8 +608,8 @@ def _best_paths(table: LatticeTable, vocab: SubwordVocab
     return best[table.base[1:] - 1], used, rows
 
 
-def _kept_pieces(corpus: Corpus, vocab: SubwordVocab, keep: int) -> set[str]:
-    """The `keep` multi-character pieces whose removal costs the most."""
+def _kept_pieces(corpus: Corpus, vocab: SubwordVocab, keep: int) -> np.ndarray:
+    """The ids of the `keep` multi-character pieces whose removal costs the most."""
     table = vocab.table(corpus.word_counts)
     base_scores, used, rows = _best_paths(table, vocab)
     without = table.best_without(rows, used, np.array(vocab.scores))
@@ -614,12 +618,10 @@ def _kept_pieces(corpus: Corpus, vocab: SubwordVocab, keep: int) -> set[str]:
     uses = np.bincount(used, minlength=vocab.size)
     # rank by (loss desc, words using it desc, piece asc): a stable sort of
     # the candidates in piece order
-    protected = vocab.required_chars
-    pieces = [p for p, _ in vocab.entries]
-    candidates = np.array(sorted((i for i, p in enumerate(pieces) if p not in protected),
-                                 key=pieces.__getitem__), dtype=np.int64)
+    candidates = np.array(sorted(np.flatnonzero(vocab.lengths > 1).tolist(),
+                                 key=vocab.pieces.__getitem__), dtype=np.int64)
     ranked = candidates[np.lexsort((-uses[candidates], -losses[candidates]))]
-    return {pieces[i] for i in ranked[:max(keep, 0)].tolist()}
+    return ranked[:max(keep, 0)]
 
 
 def prune_vocab(corpus: Corpus, vocab: SubwordVocab, keep: int) -> SubwordVocab:
@@ -632,24 +634,21 @@ def prune_vocab(corpus: Corpus, vocab: SubwordVocab, keep: int) -> SubwordVocab:
     fewer); survivor scores are renormalized to the simplex. The survivors'
     lattice table is the input's, filtered to the kept pieces.
     """
-    kept = vocab.required_chars | _kept_pieces(corpus, vocab, keep)
-    survivors = [i for i, (p, _) in enumerate(vocab.entries) if p in kept]
-    log_total = float(np.logaddexp.reduce([vocab.scores[i] for i in survivors]))
-    pruned = SubwordVocab([(vocab.entries[i][0], vocab.scores[i] - log_total)
-                           for i in survivors])
-    new_ids = np.full(vocab.size, -1, dtype=np.intc)
-    new_ids[survivors] = np.arange(len(survivors))
-    pruned._table = vocab._table.filtered(new_ids)
-    return pruned
+    kept = vocab.lengths == 1
+    kept[_kept_pieces(corpus, vocab, keep)] = True
+    survivors = np.flatnonzero(kept)
+    scores = np.array(vocab.scores)[survivors]
+    return vocab._derived((scores - np.logaddexp.reduce(scores)).tolist(), survivors)
 
 
 def train_unigram(corpus: Corpus, config: TrainerConfig) -> SubwordVocab:
     """Seed, then alternate EM and pruning down to the target size.
 
-    Shrink rounds run until the vocabulary is within 10% of the target, then
-    one exact prune (and a final EM settle) lands on target_vocab_size. A
-    corpus whose substring inventory is smaller than the target yields a
-    smaller vocabulary; pieces cannot be invented.
+    Each round runs EM, then prunes unless the target is reached: shrink
+    rounds while the vocabulary is over 110% of the target, then one exact
+    prune that lands on target_vocab_size. A corpus whose substring
+    inventory is smaller than the target yields a smaller vocabulary;
+    pieces cannot be invented.
     """
     target = config.target_vocab_size
     n_protected = coverage_floor(corpus)
@@ -660,22 +659,16 @@ def train_unigram(corpus: Corpus, config: TrainerConfig) -> SubwordVocab:
         )
     vocab = build_seed_vocab(corpus, 20 * target)
 
-    while vocab.size > 1.1 * target:
+    while True:
         for _ in range(EM_SUBITERATIONS):
             vocab, _ = em_step(corpus, vocab)
-        n_multi = vocab.size - n_protected
-        keep = max(int(n_multi * SHRINK_FACTOR), target - n_protected)
-        if keep >= n_multi:
+        if vocab.size <= target:
             break
+        keep = target - n_protected
+        if vocab.size > 1.1 * target:
+            keep = max(int((vocab.size - n_protected) * SHRINK_FACTOR), keep)
         vocab = prune_vocab(corpus, vocab, keep)
-    for _ in range(EM_SUBITERATIONS):
-        vocab, _ = em_step(corpus, vocab)
-    if vocab.size > target:
-        vocab = prune_vocab(corpus, vocab, target - n_protected)
-        for _ in range(EM_SUBITERATIONS):
-            vocab, _ = em_step(corpus, vocab)
-    ordered = sorted(vocab.entries, key=lambda e: (-e[1], e[0]))
-    return SubwordVocab(ordered)
+    return SubwordVocab(sorted(vocab.entries, key=lambda e: (-e[1], e[0])))
 
 
 # ---------------------------------------------------------------------------

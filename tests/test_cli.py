@@ -538,6 +538,16 @@ class TestTrainLmChecks:
         assert "--steps" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_max_len_above_the_ceiling_fails(self, vocab_file, tmp_path, capsys):
+        rc = main(["train-lm", "--tokenizer", str(vocab_file), "--out",
+                   str(tmp_path / "model.ckpt"), "--steps", "1", "--images", "2",
+                   "--max-len", str(transformer.MAX_SEQ_LEN + 1)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("subicap: error:") and len(err.splitlines()) == 1
+        assert str(transformer.MAX_SEQ_LEN) in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_overlong_caption_names_its_image(self, vocab_file, tmp_path, capsys):
         out = tmp_path / "model.ckpt"
         rc = main(["train-lm", "--tokenizer", str(vocab_file), "--out", str(out),
@@ -592,7 +602,7 @@ def test_generate_rejects_malformed_checkpoint_header(checkpoint, vocab_file,
     assert err.startswith("subicap: error:") and len(err.splitlines()) == 1
 
 
-# small values only: a valid header with a huge max_seq_len decodes for minutes
+# small values only: a valid header with a large max_seq_len decodes that many pieces
 _JSON_VALUES = st.recursive(
     st.integers(-3, 64) | st.booleans() | st.none() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)
@@ -640,6 +650,8 @@ def _header_text(path):
 @given(edit=_HEADER_EDITS)
 @example(edit=("set", ("version",), True))  # loaded once, as True == 1
 @example(edit=("set", ("config", "n_heads"), 0))  # divided by zero once
+@example(edit=("set", ("config", "max_seq_len"), transformer.MAX_SEQ_LEN + 1))
+@example(edit=("set", ("config", "max_seq_len"), 10_000_000))  # a 2.4 GiB position table
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_generate_survives_any_header_edit(one_step_model, edit):
     # Either generate captions the image, and the edited header is, value

@@ -80,9 +80,15 @@ def decode(step_fn, beam, max_len):
     return beam_rows_decode(rows_of(step_fn), beam, max_len)
 
 
+def documented_rank(h):
+    """The module docstring's final ranking, as a sort key: normalized score
+    descending, then fewer content tokens, then the smaller id sequence."""
+    return -h.norm_score, len(h.token_ids), h.token_ids
+
+
 def enumerate_best(step_fn, vocab, max_len):
-    """Brute force over every complete hypothesis, ranked like the beam:
-    normalized score, then shorter content, then token ids."""
+    """Brute force over every complete hypothesis: sorted by the documented
+    rank, the first."""
     complete = []
 
     def walk(prefix, content, logprob):
@@ -98,8 +104,7 @@ def enumerate_best(step_fn, vocab, max_len):
                 walk(prefix + (tok,), content + [tok], lp)
 
     walk((1,), [], 0.0)  # BOS_ID
-    return max(complete,
-               key=lambda h: (h.norm_score, -len(h.token_ids), h.token_ids))
+    return sorted(complete, key=documented_rank)[0]
 
 
 def oracle_steps(step_fn, beam, max_len):
@@ -294,8 +299,15 @@ class TestTieRule:
                         for seq, s in kept if seq[-1] == EOS_ID]
                 ends += [Hypothesis(seq[1:], s, False) for seq, s in want[-1]
                          if seq[-1] != EOS_ID and len(want) == 4]
-                assert hyp == max(ends, key=lambda h: (
-                    h.norm_score, -len(h.token_ids), h.token_ids)), (seed, beam)
+                assert hyp == sorted(ends, key=documented_rank)[0], (seed, beam)
+
+    @pytest.mark.parametrize("beam", [1, 2, 4])
+    def test_final_tie_goes_to_the_smaller_sequence(self, beam):
+        # (3,) and (4,) both finish with log .5 over two generated tokens
+        table = {(1,): {3: 0.5, 4: 0.5}, (1, 3): {2: 1.0}, (1, 4): {2: 1.0}}
+        hyp = decode(_table_step_fn(table, 5), beam, 3)
+        assert (hyp.token_ids, hyp.finished) == ((3,), True)
+        assert hyp == enumerate_best(_table_step_fn(table, 5), 5, 3)
 
     @pytest.mark.parametrize("beam", [1, 2, 4, 20])
     def test_never_keeps_a_minus_inf_candidate(self, beam):

@@ -325,7 +325,7 @@ class TestSegmentationMemo:
     def test_rescored_vocabulary_segments_afresh(self):
         v = _scored_vocab({"ab": -0.1, "a": -3.0, "_b": -3.0})
         assert encode("ab", v).pieces == ("ab",)
-        assert encode("ab", v._rescored([-5.0, -0.1, -0.1])).pieces == ("a", "_b")
+        assert encode("ab", v._derived([-5.0, -0.1, -0.1])).pieces == ("a", "_b")
 
 
 class TestRoundtrip:
@@ -697,6 +697,45 @@ class TestLatticeTable:
         assert built == ["cat", "a", "at"]
         encode("at cat", vocab)
         assert built == ["cat", "a", "at"]
+
+
+class TestDerivedVocab:
+    """em_step and prune_vocab index their parent's columns instead of
+    validating a rebuilt vocabulary; the result is what the constructor
+    builds from its entries."""
+
+    @staticmethod
+    def assert_as_constructed(vocab):
+        fresh = SubwordVocab(vocab.entries)
+        assert vocab.pieces == fresh.pieces
+        assert all(type(s) is float for s in vocab.scores)
+        assert [s.hex() for s in vocab.scores] == [s.hex() for s in fresh.scores]
+        assert vocab.lengths.dtype == fresh.lengths.dtype
+        assert np.array_equal(vocab.lengths, fresh.lengths)
+        assert vocab.piece_to_id == fresh.piece_to_id
+        assert vocab.required_chars == fresh.required_chars
+        assert vocab.max_content_length == fresh.max_content_length
+
+    @given(case=corpus_and_vocab())
+    @settings(max_examples=75, deadline=None, derandomize=True)
+    def test_em_and_pruning_give_constructed_fields(self, case):
+        corpus, vocab, keep = case
+        self.assert_as_constructed(em_step(corpus, vocab)[0])
+        self.assert_as_constructed(prune_vocab(corpus, vocab, keep))
+
+    def test_training_validates_only_its_seed_and_result(self, monkeypatch):
+        calls = []
+        real = SubwordVocab.__init__
+
+        def counting_init(self, entries):
+            calls.append(len(entries))
+            real(self, entries)
+
+        monkeypatch.setattr(SubwordVocab, "__init__", counting_init)
+        vocab = train_unigram(load_corpus(bundled_corpus_path()),
+                              TrainerConfig(target_vocab_size=300))
+        assert len(calls) == 2
+        assert calls[-1] == vocab.size == 300
 
 
 def _has_tied_position(word, vocab):
