@@ -63,10 +63,12 @@ class RunManifest:
     tool_version: str
     timestamp_utc: str
     duration_s: float
+    metrics: dict  # deterministic counts of what the run did
 
 
 def _write_manifest(primary_out: Path, subcommand: str, arguments: dict,
-                    inputs: dict, outputs: list[str], started: float) -> None:
+                    inputs: dict, outputs: list[str], started: float,
+                    metrics: dict | None = None) -> None:
     manifest = RunManifest(
         subcommand=subcommand,
         arguments=arguments,
@@ -76,6 +78,7 @@ def _write_manifest(primary_out: Path, subcommand: str, arguments: dict,
         tool_version=__version__,
         timestamp_utc=datetime.now(timezone.utc).isoformat(),
         duration_s=round(time.time() - started, 6),
+        metrics=metrics or {},
     )
     Path(str(primary_out) + ".manifest.json").write_text(
         json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n",
@@ -343,18 +346,20 @@ def cmd_generate(r: dict) -> int:
     first_banned = np.array([unigram.is_continuation(vocab.piece_of_token(t))
                              for t in range(vocab.num_tokens)])
     scenes = synthetic.synthetic_regions(r["seed"], r["images"], d_in=cfg.d_in)
-    lines = []
-    for scene in scenes:
-        hyp = decoding.caption_regions(scene.regions, params, cfg,
-                                       beam=r["beam"], max_len=max_len,
-                                       first_banned=first_banned)
-        lines.append(unigram.detokenize(
-            [vocab.piece_of_token(t) for t in hyp.token_ids]))
+    hyps = [decoding.caption_regions(scene.regions, params, cfg, beam=r["beam"],
+                                     max_len=max_len, first_banned=first_banned)
+            for scene in scenes]
+    lines = [unigram.detokenize([vocab.piece_of_token(t) for t in hyp.token_ids])
+             for hyp in hyps]
     _write_lines(lines, str(out))
     log.info("generated %d captions (beam=%d) -> %s", len(lines), r["beam"], out)
+    n_finished = sum(hyp.finished for hyp in hyps)
+    metrics = {"captions_finished": n_finished,
+               "captions_cut_off": len(hyps) - n_finished,  # at --max-len
+               "generated_tokens": sum(hyp.n_generated for hyp in hyps)}
     _write_manifest(out, "generate", r,
                     {"checkpoint": r["checkpoint"], "tokenizer": r["tokenizer"]},
-                    [str(out)], started)
+                    [str(out)], started, metrics)
     return 0
 
 

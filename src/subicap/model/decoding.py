@@ -3,14 +3,14 @@
 The search extends prefixes of token ids that start with <bos>. At each
 step it asks a RowsFn for all its live prefixes at once: in, an (L, t) int
 array of L prefixes of one length t and the (L,) int array parents; out, an
-(L, V) array of next-token log probabilities. The first call gets the one
-prefix (<bos>,) and parents [0]; at every later call, prefix j is prefix
-parents[j] of the call before with one token appended, so a parent may be
-continued twice or not at all. A scorer may keep state from call to call
-on that promise: model_rows_fn keeps the decoder's keys and values, reorders
-them by parents and runs only the newest position of each row. A toy
-scorer may ignore parents and score the prefixes alone; any such scorer
-drives the same search.
+(L, V) array of next-token log probabilities, each <= 0 or -inf (the stop
+below rests on it). The first call gets the one prefix (<bos>,) and parents
+[0]; at every later call, prefix j is prefix parents[j] of the call before
+with one token appended, so a parent may be continued twice or not at all.
+A scorer may keep state from call to call on that promise: model_rows_fn
+keeps the decoder's keys and values, reorders them by parents and runs only
+the newest position of each row. A toy scorer may ignore parents and score
+the prefixes alone; any such scorer drives the same search.
 
 Hypotheses are compared by total log probability divided by the number of
 generated tokens (<eos> included when emitted); ties break toward fewer
@@ -23,6 +23,18 @@ decoding exactly: at every step the single kept candidate is the argmax
 extension, with the first index winning a tie, so the result is the argmax
 chain. A candidate scored -inf is never kept, so the caption model's masked
 tokens never enter a hypothesis.
+
+The search stops as soon as no live prefix can win: once the best finished
+hypothesis's normalized score is strictly above max(live scores) / max_len.
+The stop is exact, bits included. A descendant of a live prefix scored s
+adds log probabilities <= 0, and IEEE addition of a value <= 0 never
+raises a sum, so its logprob is <= s (<= 0). It generates n <= max_len
+tokens, and for s <= 0 and 0 < n <= max_len, IEEE division is monotone
+and gives s / n <= s / max_len. So every hypothesis the search could
+still form, the live prefixes cut off as they stand included, ranks
+strictly below the best finished one, and the result is the one the
+search would reach by running to max_len. model_rows_fn meets the premise:
+a log-softmax row's largest entry is 0 minus the log of a sum >= 1.
 """
 
 from __future__ import annotations
@@ -111,6 +123,7 @@ def beam_rows_decode(rows_fn: RowsFn, beam: int, max_len: int) -> Hypothesis:
     live: list[tuple[tuple[int, ...], float]] = [((BOS_ID,), 0.0)]  # sorted
     parents = np.zeros(1, dtype=np.int64)
     finished: list[Hypothesis] = []
+    best_norm = -np.inf  # the best finished hypothesis's norm_score
     for _ in range(max_len):
         scores = np.array([score for _, score in live])
         prefixes = np.array([seq for seq, _ in live])
@@ -128,13 +141,14 @@ def beam_rows_decode(rows_fn: RowsFn, beam: int, max_len: int) -> Hypothesis:
             seq = live[row][0]
             if tok == EOS_ID:
                 finished.append(Hypothesis(seq[1:], score, True))
+                best_norm = max(best_norm, finished[-1].norm_score)
             else:
                 kept.append((i, seq + (tok,), score))
         kept.sort()  # flat index order is prefix order
         live = [(seq, score) for _, seq, score in kept]
         parents = np.array([i for i, _, _ in kept], dtype=np.int64) // vocab
-        if not live:
-            break
+        if not live or best_norm > max(score for _, score in live) / max_len:
+            break  # the live prefixes and all they lead to rank below best_norm
     finished += [Hypothesis(seq[1:], score, False) for seq, score in live]
     return min(finished, key=lambda h: (-h.norm_score, len(h.token_ids), h.token_ids))
 

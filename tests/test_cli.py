@@ -360,6 +360,38 @@ class TestModelCommands:
         assert len(lines) == 2
         assert _manifest(out)["arguments"]["beam"] == 2
 
+    def test_generate_metrics_are_deterministic(self, vocab_file, tmp_path):
+        """Two runs write equal metrics, and they count the captions the
+        search finished or cut off at --max-len and the tokens it generated."""
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train-lm", "--tokenizer", str(vocab_file), "--out", str(ckpt),
+                     "--steps", "40", "--images", "4", "--d-model", "16",
+                     "--d-ff", "32", "--max-len", "24"]) == 0
+        runs = []
+        for run in ("one", "two"):
+            out = tmp_path / f"gen_{run}.txt"
+            assert main(["generate", "--checkpoint", str(ckpt),
+                         "--tokenizer", str(vocab_file), "--out", str(out),
+                         "--images", "5", "--beam", "4", "--max-len", "12",
+                         "--seed", "3"]) == 0
+            runs.append((out.read_bytes(), _manifest(out)["metrics"]))
+        assert runs[0] == runs[1]
+        params, cfg = load_checkpoint(ckpt)
+        vocab = load_vocab(vocab_file)
+        first_banned = np.array([is_continuation(vocab.piece_of_token(t))
+                                 for t in range(vocab.num_tokens)])
+        hyps = [caption_regions(s.regions, params, cfg, beam=4, max_len=12,
+                                first_banned=first_banned)
+                for s in synthetic_regions(seed=3, n_images=5, d_in=cfg.d_in)]
+        finished = sum(h.finished for h in hyps)
+        assert 0 < finished < 5  # premise: both kinds occur
+        assert runs[0][1] == {
+            "captions_finished": finished,
+            "captions_cut_off": sum(len(h.token_ids) == 12 for h in hyps
+                                    if not h.finished),
+            "generated_tokens": sum(len(h.token_ids) + h.finished for h in hyps),
+        }
+
     def test_greedy_flag_is_gone(self, checkpoint, vocab_file, tmp_path, capsys):
         # --beam 1 is the one way to ask for greedy decoding
         out = tmp_path / "greedy.txt"

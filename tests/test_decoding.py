@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import greedy_reference, log_softmax, model_step, rows_of
 
 from subicap.model import decoding
@@ -120,6 +122,30 @@ def oracle_steps(step_fn, beam, max_len):
         if not live:
             break
     return steps
+
+
+def oracle_stop_step(steps, max_len):
+    """The first step of oracle_steps after which the search may stop: the
+    best finished norm_score so far is strictly above the best live score
+    over max_len. None if no step qualifies."""
+    best = -np.inf
+    for t, kept in enumerate(steps):
+        best = max([best] + [Hypothesis(seq[1:-1], s, True).norm_score
+                             for seq, s in kept if seq[-1] == EOS_ID])
+        live = [s for seq, s in kept if seq[-1] != EOS_ID]
+        if live and best > max(live) / max_len:
+            return t
+    return None
+
+
+def oracle_best(steps, max_len):
+    """The hypothesis a search that never stops early returns, from every
+    step oracle_steps kept: the first by the documented rank."""
+    ends = [Hypothesis(seq[1:-1], s, True) for kept in steps
+            for seq, s in kept if seq[-1] == EOS_ID]
+    ends += [Hypothesis(seq[1:], s, False) for seq, s in steps[-1]
+             if seq[-1] != EOS_ID and len(steps) == max_len]
+    return sorted(ends, key=documented_rank)[0]
 
 
 def searched_steps(step_fn, beam, max_len):
@@ -264,9 +290,16 @@ class TestTieRule:
     """Ties rank by token sequence ascending, wherever they fall."""
 
     def assert_follows_oracle(self, step_fn, beam, max_len):
+        """The search runs a prefix of the oracle's steps, each expanding
+        the oracle's live prefixes, and stops after the first step at which
+        the stopping condition holds on the oracle's lists, or when the
+        oracle runs out of live prefixes or steps."""
         want = oracle_steps(step_fn, beam, max_len)
         hyp, expanded = searched_steps(step_fn, beam, max_len)
-        for t, kept in enumerate(want[: max_len - 1]):  # the last is not run
+        stop = oracle_stop_step(want, max_len)
+        ran = len(want) if stop is None else stop + 1
+        assert [bool(rows) for rows in expanded] == [t < ran for t in range(max_len)]
+        for t, kept in enumerate(want[: ran - 1]):  # the last is not run
             assert expanded[t + 1] == sorted(seq for seq, _ in kept
                                              if seq[-1] != EOS_ID), t
         return want, hyp
@@ -295,11 +328,7 @@ class TestTieRule:
             step = _tied_step_fn(seed, masked=0.3)
             for beam in (1, 2, 3, 4, 7):
                 want, hyp = self.assert_follows_oracle(step, beam, 4)
-                ends = [Hypothesis(seq[1:-1], s, True) for kept in want
-                        for seq, s in kept if seq[-1] == EOS_ID]
-                ends += [Hypothesis(seq[1:], s, False) for seq, s in want[-1]
-                         if seq[-1] != EOS_ID and len(want) == 4]
-                assert hyp == sorted(ends, key=documented_rank)[0], (seed, beam)
+                assert hyp == oracle_best(want, 4), (seed, beam)
 
     @pytest.mark.parametrize("beam", [1, 2, 4])
     def test_final_tie_goes_to_the_smaller_sequence(self, beam):
@@ -317,6 +346,99 @@ class TestTieRule:
             assert math.isfinite(hyp.logprob)
             for prefix in (p for rows in expanded[1:] for p in rows):
                 assert step(prefix[:-1])[prefix[-1]] > -np.inf, (seed, prefix)
+
+
+def counted_rows(step_fn):
+    """(a RowsFn over step_fn, the list its calls append to)."""
+    calls = []
+    rows = rows_of(step_fn)
+
+    def counted(prefixes, parents):
+        calls.append(len(prefixes))
+        return rows(prefixes, parents)
+
+    return counted, calls
+
+
+def _peaked_step_fn(seed, vocab, levels, masked):
+    """Log-softmax of random logits; with `levels`, the logits are rounded
+    to that many integer values, so exact ties are common; a share `masked`
+    of the ids other than <eos> score -inf."""
+
+    def step(prefix):
+        rng = np.random.default_rng([seed, *prefix])
+        logits = rng.normal(scale=3.0, size=vocab)
+        if levels:
+            logits = np.round(logits).clip(-levels, levels)
+        out = log_softmax(logits)
+        out[(rng.random(vocab) < masked) & (np.arange(vocab) != EOS_ID)] = -np.inf
+        return out
+
+    return step
+
+
+class TestEarlyStop:
+    """The search returns once the best finished hypothesis's norm_score is
+    strictly above every live score over max_len."""
+
+    def test_stops_after_the_winner_finishes(self):
+        table = {(1,): {EOS_ID: 0.9, 3: 0.1}}
+        rows, calls = counted_rows(_table_step_fn(table, 5))
+        hyp = beam_rows_decode(rows, beam=2, max_len=10)
+        assert (hyp.token_ids, hyp.finished) == ((), True)
+        assert hyp.logprob == math.log(0.9)
+        assert calls == [1]
+        # without the stop, the live (3,) would run on to max_len
+        assert len(oracle_steps(_table_step_fn(table, 5), 2, 10)) == 10
+
+    def test_a_tie_at_the_bound_does_not_stop(self):
+        # after step 0, () has finished at -1 / 1 and (3,) is live at -2,
+        # whose bound -2 / max_len is exactly -1: the search runs on
+        logp = {(1,): [-np.inf, -np.inf, -1.0, -2.0], (1, 3): [-np.inf, -np.inf, 0.0, -5.0]}
+        rows, calls = counted_rows(lambda prefix: np.array(logp[prefix]))
+        hyp = beam_rows_decode(rows, beam=2, max_len=2)
+        assert calls == [1, 1]
+        # (3,) finishes at -2 / 2, tying (); fewer content tokens wins
+        assert hyp == Hypothesis((), -1.0, True)
+        # a bound just below the finished score stops at once
+        logp[(1,)][3] = -2.0000000000000004
+        rows, calls = counted_rows(lambda prefix: np.array(logp[prefix]))
+        assert beam_rows_decode(rows, beam=2, max_len=2) == hyp
+        assert calls == [1]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(3, 7),
+           levels=st.sampled_from([0, 1, 2, 4]), masked=st.sampled_from([0.0, 0.3]),
+           beam=st.integers(1, 7), max_len=st.integers(1, 8))
+    def test_equals_the_search_without_the_stop(self, seed, vocab, levels,
+                                                masked, beam, max_len):
+        step = _peaked_step_fn(seed, vocab, levels, masked)
+        want = oracle_steps(step, beam, max_len)
+        assert decode(step, beam, max_len) == oracle_best(want, max_len)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 30.0, 1e3]),
+           banned=st.booleans(), beam=st.integers(1, 4))
+    def test_model_rows_are_never_above_zero(self, seed, scale, banned, beam):
+        """The bound's premise on the real scorer: every entry of
+        model_rows_fn's rows is <= 0 or -inf, here on random models whose
+        output head is scaled up so that some distributions peak hard."""
+        rng = np.random.default_rng(seed)
+        params = init_params(CFG, seed=seed % 1000)
+        params = {**params, "out.W": params["out.W"] * scale}
+        q = encoder_forward(_random_regions(rng), params, CFG)
+        first_banned = rng.random(CFG.vocab_size) < 0.5 if banned else None
+        rows_fn = model_rows_fn(q, params, CFG, first_banned)
+        seen = []
+
+        def checked(prefixes, parents):
+            out = rows_fn(prefixes, parents)
+            seen.append(out.max())
+            assert not np.isnan(out).any() and np.all(out <= 0.0)
+            return out
+
+        beam_rows_decode(checked, beam, CFG.max_seq_len - 1)
+        assert seen
 
 
 def _parent_events(n_prev, parents):
