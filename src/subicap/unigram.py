@@ -22,22 +22,23 @@ for coverage are never pruned. All loops accumulate in corpus order, so
 results are bitwise reproducible.
 
 A lattice is the (start, end, piece id) of every vocabulary match over a
-word, as parallel int arrays in (start, end) order. It depends only on the
-piece set, not on the scores, so each piece set has one lattice table over
-the training words: the same spans with a word column, in (word, start,
-end) order, from one build_lattice call per distinct word. em_step hands
-the re-scored vocabulary the same table; prune_vocab filters its spans to
-the survivors and renumbers them, keeping their order. EM's forward and
-backward sums and pruning's best path without each piece run as array
-passes over the table, one step per character position across all words,
-with np.logaddexp / np.maximum reduceat; expected counts are one
-np.bincount in span order. These add in the order a scalar walk adds, so
-results are the same to the bit; for that the posterior's exp is libm's
-math.exp, since np.exp's SIMD kernel rounds differently. Pruning's best
-path of each word comes from the same max pass, traced back across all
+word, as parallel int arrays in (start, end) order: per start, one key grows
+a character per end (from "" at the word start, "_" after it), one dict
+lookup each. It depends only on the piece set, not on the scores, so each
+piece set has one lattice table over the training words: the same spans with
+a word column, in (word, start, end) order, from one build_lattice call per
+distinct word. em_step hands the re-scored vocabulary the same table;
+prune_vocab filters its spans to the survivors and renumbers them, keeping
+their order. EM's forward and backward sums and pruning's best path without
+each piece run as array passes over the table, one step per character
+position across all words, with np.logaddexp / np.maximum reduceat; expected
+counts are one np.bincount in span order. These add in the order a scalar
+walk adds, so results are the same to the bit; for that the posterior's exp
+is libm's math.exp, since np.exp's SIMD kernel rounds differently. Pruning's
+best path of each word comes from the same max pass, traced back across all
 words at once; only a word with two best spans into a position on its path
-rebuilds its lattice and runs the one scalar Viterbi, which breaks the
-tie, and which encode memoises per word.
+rebuilds its lattice and runs the one scalar Viterbi, which breaks the tie,
+and whose (pieces, score, token ids) encode memoises per word.
 """
 
 from __future__ import annotations
@@ -134,9 +135,10 @@ class SubwordVocab:
     their parent's columns and lattice table (see _derived).
 
     The lattice table (see table()) is built on first use over the words
-    asked for; the segmentation memo maps a word to its best (pieces,
-    score). Both are derived data, pure functions of the columns, so the
-    vocabulary stays immutable in every observable way.
+    asked for; the segmentation memo maps a word to its best (pieces, score,
+    token ids), so a repeated word costs encode no lookup. Both are derived
+    data, pure functions of the columns, so the vocabulary stays immutable
+    in every observable way.
     """
 
     __slots__ = ("pieces", "scores", "lengths", "piece_to_id", "required_chars",
@@ -160,7 +162,7 @@ class SubwordVocab:
         self.required_chars = frozenset(compress(self.pieces, self.lengths == 1))
         self.max_content_length: int = int(self.lengths.max(initial=1))
         self._table: LatticeTable | None = None
-        self._segmentations: dict[str, tuple[tuple[str, ...], float]] = {}
+        self._segmentations: dict[str, tuple[tuple[str, ...], float, tuple[int, ...]]] = {}
 
     @property
     def entries(self) -> tuple[tuple[str, float], ...]:
@@ -271,7 +273,9 @@ class _Sweep:
     earlier step, or the caller, has set."""
 
     def __init__(self, dst: np.ndarray, step: np.ndarray):
-        self.order = np.argsort(step, kind="stable")
+        # numpy's stable sort of 16-bit keys is a radix sort: same order, faster
+        narrow = step.astype(np.int16)
+        self.order = np.argsort(narrow if (narrow == step).all() else step, kind="stable")
         dst, step = dst[self.order], step[self.order]
         edges = [*_run_starts(step).tolist(), len(step)]
         self.steps = []
@@ -355,32 +359,27 @@ class LatticeTable:
         return best[base[1:] - 1]
 
 
-def _span_piece(word: str, i: int, j: int) -> str | None:
-    """Vocabulary key for word[i:j], or None if not admissible at i.
-
-    Multi-character pieces starting with '_' are reserved for continuations,
-    so they never match at a word start.
-    """
-    if i == 0:
-        piece = word[:j]
-        if j > 1 and piece[0] == CONTINUATION:
-            return None
-        return piece
-    return CONTINUATION + word[i:j]
+def _key_span(word: str, i: int, max_len: int) -> tuple[str, int]:
+    """The spans at i: their key's first form, which grows by word[j - 1]
+    per end j, and the last admissible end. Multi-character pieces starting
+    with '_' are continuations, so they never match at a word start."""
+    if i:
+        return CONTINUATION, min(i + max_len, len(word))
+    return "", 1 if word[0] == CONTINUATION else min(max_len, len(word))
 
 
 def build_lattice(word: str, vocab: SubwordVocab) -> Lattice:
     """Raises OutOfInventoryError at the first position no single-character piece covers."""
     if not word:
         raise ValueError("cannot build a lattice over an empty word")
-    index = vocab.piece_to_id
-    n = len(word)
+    get = vocab.piece_to_id.get
     max_len = vocab.max_content_length
     starts, ends, piece_ids = array(_INT), array(_INT), array(_INT)
-    for i in range(n):
-        for j in range(i + 1, min(i + max_len, n) + 1):
-            key = _span_piece(word, i, j)
-            pid = None if key is None else index.get(key)
+    for i in range(len(word)):
+        key, stop = _key_span(word, i, max_len)
+        for j in range(i + 1, stop + 1):
+            key += word[j - 1]
+            pid = get(key)
             if pid is not None:
                 starts.append(i)
                 ends.append(j)
@@ -394,8 +393,9 @@ def build_lattice(word: str, vocab: SubwordVocab) -> Lattice:
 # segmentation
 
 
-def _viterbi_word(word: str, vocab: SubwordVocab) -> tuple[tuple[str, ...], float]:
-    """Best segmentation of one word.
+def _viterbi_word(word: str, vocab: SubwordVocab
+                  ) -> tuple[tuple[str, ...], float, tuple[int, ...]]:
+    """Best segmentation of one word: pieces, score and token ids.
 
     Ties on score prefer fewer pieces, then the lexicographically smallest
     piece sequence. Exact float equality is intentional: ties arise from
@@ -421,33 +421,33 @@ def _viterbi_word(word: str, vocab: SubwordVocab) -> tuple[tuple[str, ...], floa
             if cand[1:] < top[1:]:
                 best[j] = cand
     score, _, pieces = best[n]
-    return pieces, score
+    return pieces, score, tuple(vocab.piece_to_id[p] + NUM_CONTROLS for p in pieces)
 
 
 def viterbi_segment(text: str, vocab: SubwordVocab) -> TokenSequence:
     """Segment a normalized caption word by word; scores add across words.
 
-    Each word's segmentation is memoised in the vocabulary; a word that
-    cannot be segmented raises every time.
+    Each word's (pieces, score, token ids) is memoised in the vocabulary; a
+    word that cannot be segmented raises every time, at its caption offset.
     """
     memo = vocab._segmentations
     pieces: list[str] = []
+    ids: list[int] = []
     total = 0.0
-    offset = 0
-    for word in text.split():
-        start = text.index(word, offset)
+    for k, word in enumerate(text.split()):
         seg = memo.get(word)
         if seg is None:
             try:
                 seg = memo[word] = _viterbi_word(word, vocab)
             except OutOfInventoryError as err:
-                raise OutOfInventoryError(err.char, start + err.position) from None
-        word_pieces, score = seg
-        pieces.extend(word_pieces)
-        total += score
-        offset = start + len(word)
-    ids = tuple(vocab.piece_to_id[p] + NUM_CONTROLS for p in pieces)
-    return TokenSequence(tuple(pieces), ids, total)
+                end = 0  # the str.index walk to the end of this word
+                for w in text.split()[:k + 1]:
+                    end = text.index(w, end) + len(w)
+                raise OutOfInventoryError(err.char, end - len(word) + err.position) from None
+        pieces += seg[0]
+        total += seg[1]
+        ids += seg[2]
+    return TokenSequence(tuple(pieces), tuple(ids), total)
 
 
 def encode(text: str, vocab: SubwordVocab) -> TokenSequence:
@@ -479,12 +479,11 @@ def _positional_substring_counts(corpus: Corpus) -> Counter[str]:
     """Occurrence counts of every admissible piece form, weighted by word count."""
     counts: Counter[str] = Counter()
     for word, c in corpus.word_counts.items():
-        n = len(word)
-        for i in range(n):
-            for j in range(i + 1, min(i + MAX_PIECE_LENGTH, n) + 1):
-                key = _span_piece(word, i, j)
-                if key is not None:
-                    counts[key] += c
+        for i in range(len(word)):
+            key, stop = _key_span(word, i, MAX_PIECE_LENGTH)
+            for ch in word[i:stop]:
+                key += ch
+                counts[key] += c
     return counts
 
 

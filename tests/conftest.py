@@ -9,21 +9,27 @@ a prefix tuple to (V,) log probabilities, greedy_reference follows its
 argmax chain, and rows_of adapts it to the RowsFn the one beam search
 asks for.
 
-So do the unigram references: scalar walks over one freshly built lattice
-per word, the forward-backward (reference_em_step) and the per-piece
-Viterbi loss scan (reference_prune_vocab), which em_step and prune_vocab
-must equal to the bit.
+So do the unigram references: the exhaustive lattice (reference_lattice),
+which build_lattice must equal, and scalar walks over one such lattice per
+word, the forward-backward (reference_em_step), the per-word Viterbi
+(reference_viterbi, reference_encode) and the per-piece Viterbi loss scan
+(reference_prune_vocab), which em_step, encode and prune_vocab must equal
+to the bit. None of them calls build_lattice or _viterbi_word, so the
+oracles share no lattice or Viterbi code with what they check.
 """
 
 import json
 import math
 import struct
+from array import array
 
 import numpy as np
 
 from subicap.model.decoding import Hypothesis
 from subicap.model.transformer import BOS_ID, EOS_ID, PAD_ID, decoder_forward
-from subicap.unigram import SubwordVocab, build_lattice
+from subicap.corpus import normalize_text
+from subicap.errors import OutOfInventoryError
+from subicap.unigram import CONTINUATION, NUM_CONTROLS, Lattice, SubwordVocab, TokenSequence
 
 ACCEPTANCE_VERDICTS: list[str] = []
 
@@ -94,6 +100,38 @@ def greedy_reference(step, max_len):
 NEG_INF = float("-inf")
 
 
+def _span_key(word, i, j):
+    """The vocabulary key of word[i:j], or None if no piece may match it:
+    continuations carry the '_' marker, and a multi-character piece that
+    starts with '_' is a continuation, never a word start."""
+    if i > 0:
+        return CONTINUATION + word[i:j]
+    if j > 1 and word[0] == CONTINUATION:
+        return None
+    return word[:j]
+
+
+def reference_lattice(word, vocab):
+    """build_lattice as the exhaustive double loop: every (start, end) of
+    the word, each keyed on its own, in (start, end) order; raises
+    OutOfInventoryError at the first start whose one-character span has
+    no piece."""
+    if not word:
+        raise ValueError("cannot build a lattice over an empty word")
+    starts, ends, piece_ids = array("i"), array("i"), array("i")
+    for i in range(len(word)):
+        for j in range(i + 1, len(word) + 1):
+            key = _span_key(word, i, j)
+            pid = None if key is None else vocab.piece_to_id.get(key)
+            if pid is not None:
+                starts.append(i)
+                ends.append(j)
+                piece_ids.append(pid)
+            elif j == i + 1:
+                raise OutOfInventoryError(word[i], i)
+    return Lattice(word, starts, ends, piece_ids)
+
+
 def _log_add(a, b):
     if a == NEG_INF:
         return b
@@ -134,7 +172,8 @@ def reference_em_step(corpus, vocab):
     expected = [0.0] * vocab.size
     log_likelihood = 0.0
     for word, c in corpus.word_counts.items():
-        log_z = _word_forward_backward(build_lattice(word, vocab), vocab.scores, c, expected)
+        log_z = _word_forward_backward(reference_lattice(word, vocab), vocab.scores, c,
+                                       expected)
         log_likelihood += c * log_z
     floor = sum(expected) * 1e-30
     floored = [e if e > floor else floor for e in expected]
@@ -146,7 +185,7 @@ def reference_em_step(corpus, vocab):
 def reference_viterbi(word, vocab, skip_piece=None):
     """Best (pieces, score) of one word without piece id skip_piece; ties
     prefer fewer pieces, then the smallest piece sequence."""
-    lattice = build_lattice(word, vocab)
+    lattice = reference_lattice(word, vocab)
     best = [None] * (len(word) + 1)
     best[0] = (0.0, 0, ())
     # by start, so best[i] is final when the spans from i are read
@@ -160,6 +199,29 @@ def reference_viterbi(word, vocab, skip_piece=None):
         if top is None or cand[0] > top[0] or (cand[0] == top[0] and cand[1:] < top[1:]):
             best[j] = cand
     return best[-1][2], best[-1][0]
+
+
+def reference_segment(text, vocab):
+    """viterbi_segment as the scalar walk: reference_viterbi per word, the
+    word's caption offset from the str.index walk, and token ids through
+    piece_to_id."""
+    pieces, total, offset = [], 0.0, 0
+    for word in text.split():
+        start = text.index(word, offset)
+        try:
+            word_pieces, score = reference_viterbi(word, vocab)
+        except OutOfInventoryError as err:
+            raise OutOfInventoryError(err.char, start + err.position) from None
+        pieces.extend(word_pieces)
+        total += score
+        offset = start + len(word)
+    ids = tuple(vocab.piece_to_id[p] + NUM_CONTROLS for p in pieces)
+    return TokenSequence(tuple(pieces), ids, total)
+
+
+def reference_encode(text, vocab):
+    """encode as normalize_text, then reference_segment."""
+    return reference_segment(normalize_text(text), vocab)
 
 
 def reference_prune_vocab(corpus, vocab, keep):

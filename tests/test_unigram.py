@@ -16,7 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_em_step, reference_prune_vocab, reference_viterbi
+from conftest import (
+    reference_em_step,
+    reference_encode,
+    reference_lattice,
+    reference_prune_vocab,
+    reference_segment,
+    reference_viterbi,
+)
 from subicap import unigram
 from subicap.cli import main
 from subicap.corpus import Corpus, bundled_corpus_path, load_corpus, normalize_text
@@ -177,6 +184,26 @@ class TestSubwordVocab:
             v.token_id("zz")
 
 
+@st.composite
+def lattice_case(draw):
+    """A word over "ab_c" and a vocabulary over "ab_": random pieces in
+    either marker form or both (twins), the singles of "a", "b" and "_"
+    (the literal "_" piece and its continuation "__") less at most one,
+    words that open with "_", and "c", which no piece covers."""
+    forms = draw(st.lists(st.text(alphabet="aab_", min_size=2, max_size=4).flatmap(
+        lambda c: st.sampled_from([(c,), (CONTINUATION + c,), (c, CONTINUATION + c)])),
+        max_size=20))
+    singles = {"_", "__", "a", "_a", "b", "_b"}
+    singles -= draw(st.sets(st.sampled_from(sorted(singles)), max_size=1))
+    pieces = {p for form in forms for p in form} | singles
+    # words made of piece contents, so that multi-character pieces match
+    chunks = st.sampled_from(sorted({piece_content(p) for p in pieces}) + ["c"])
+    opening = draw(st.sampled_from(["", "", CONTINUATION]))
+    word = opening + "".join(draw(st.lists(chunks, min_size=0 if opening else 1,
+                                           max_size=4)))
+    return word, _uniform_vocab(sorted(pieces))
+
+
 class TestLattice:
     def test_span_enumeration(self):
         v = _uniform_vocab(["a", "b", "_a", "_b", "ab", "_ba"])
@@ -212,6 +239,22 @@ class TestLattice:
         v = _uniform_vocab(["a", "_a", "b"])
         with pytest.raises(OutOfInventoryError):
             build_lattice("ab", v)
+
+    @given(case=lattice_case())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_equals_the_exhaustive_lattice(self, case):
+        word, vocab = case
+        try:
+            want = reference_lattice(word, vocab)
+        except OutOfInventoryError as err:
+            with pytest.raises(OutOfInventoryError) as got:
+                build_lattice(word, vocab)
+            assert (got.value.char, got.value.position) == (err.char, err.position)
+            return
+        got = build_lattice(word, vocab)
+        assert got.sentence == word
+        for name in ("starts", "ends", "piece_ids"):
+            assert getattr(got, name) == getattr(want, name), name
 
 
 class TestViterbi:
@@ -291,6 +334,32 @@ class TestViterbi:
                 assert got.total_score == pytest.approx(expected[1])
 
 
+@st.composite
+def encode_case(draw):
+    """A caption of repeated words over "abAB_", joined by runs of spaces
+    and tabs, maybe with one word holding "x", which no piece covers, after
+    the first; and a vocabulary holding both marker forms of "a" and "b"
+    and random pieces with tied and untied scores."""
+    content = st.text(alphabet="ab_", min_size=1, max_size=3)
+    pieces = {"a", "_a", "b", "_b"} | set(draw(st.lists(
+        content | content.map(CONTINUATION.__add__), max_size=12)))
+    scores = draw(st.lists(st.sampled_from([-1.0, -2.0, -3.5]) | st.floats(-9.0, -0.01),
+                           min_size=len(pieces), max_size=len(pieces)))
+    vocab = SubwordVocab(list(zip(sorted(pieces), scores)))
+    pool = draw(st.lists(st.text(alphabet="abAB_", min_size=1, max_size=6),
+                         min_size=1, max_size=4))
+    words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    if len(words) > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, len(words) - 1))
+        at = draw(st.integers(0, len(words[k])))
+        words[k] = words[k][:at] + draw(st.sampled_from("xX")) + words[k][at:]
+    gap = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t "])
+    text = draw(st.sampled_from(["", " ", "\t"]))
+    for word in words:
+        text += word + draw(gap)
+    return text, vocab
+
+
 class TestSegmentationMemo:
     @pytest.fixture
     def viterbi_calls(self, monkeypatch):
@@ -326,6 +395,41 @@ class TestSegmentationMemo:
         v = _scored_vocab({"ab": -0.1, "a": -3.0, "_b": -3.0})
         assert encode("ab", v).pieces == ("ab",)
         assert encode("ab", v._derived([-5.0, -0.1, -0.1])).pieces == ("a", "_b")
+
+    @staticmethod
+    def assert_same_outcome(run, reference, text, vocab):
+        """run(text, vocab) twice, on the memo's second pass too, gives what
+        the reference gives: equal pieces, ids and score bits, or the same
+        OutOfInventoryError char and position."""
+        try:
+            want = reference(text, vocab)
+        except OutOfInventoryError as err:
+            for _ in range(2):
+                with pytest.raises(OutOfInventoryError) as got:
+                    run(text, vocab)
+                assert (got.value.char, got.value.position) == (err.char, err.position)
+            return
+        first = run(text, vocab)
+        assert first.pieces == want.pieces
+        assert first.ids == want.ids
+        assert first.total_score.hex() == want.total_score.hex()
+        again = run(text, vocab)
+        assert again == first
+        assert again.total_score.hex() == first.total_score.hex()
+
+    @given(case=encode_case())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_encode_equals_the_scalar_walk(self, case):
+        text, vocab = case
+        self.assert_same_outcome(encode, reference_encode, text, vocab)
+
+    @given(case=encode_case())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_raw_text_offsets_equal_the_index_walk(self, case):
+        # unnormalized text: the runs of spaces and tabs stay, so a failing
+        # word's offset counts them
+        text, vocab = case
+        self.assert_same_outcome(viterbi_segment, reference_segment, text.lower(), vocab)
 
 
 class TestRoundtrip:
@@ -697,6 +801,49 @@ class TestLatticeTable:
         assert built == ["cat", "a", "at"]
         encode("at cat", vocab)
         assert built == ["cat", "a", "at"]
+
+
+class TestSweep:
+    """_Sweep sorts steps that fit in 16 bits as int16, numpy's radix sort,
+    and wider ones as they are; either way its order and steps are those
+    of the stable int64 argsort."""
+
+    @staticmethod
+    def reference_steps(dst, step):
+        order = np.argsort(step.astype(np.int64), kind="stable")
+        dst, step = dst[order].tolist(), step[order].tolist()
+        steps = []
+        for lo in range(len(step)):
+            if lo and step[lo] == step[lo - 1]:
+                continue
+            hi = lo
+            while hi < len(step) and step[hi] == step[lo]:
+                hi += 1
+            heads = [k - lo for k in range(lo, hi) if k == lo or dst[k] != dst[k - 1]]
+            steps.append((lo, hi, heads, [dst[lo + k] for k in heads]))
+        return order, steps
+
+    @given(values=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(
+               [0, 1, 2, 7, -1, -3, 2**15 - 1, -2**15, 2**15, -2**15 - 1, 40000, -70000])),
+               max_size=40),
+           narrow=st.booleans(), dtype=st.sampled_from([np.intc, np.int64]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_order_and_steps_equal_the_int64_argsort(self, values, narrow, dtype):
+        if narrow:  # every step fits in 16 bits: the radix path
+            values = [(d, v) for d, v in values if -2**15 <= v < 2**15]
+        dst = np.array([d for d, _ in values], dtype=dtype)
+        step = np.array([v for _, v in values], dtype=dtype)
+        order, steps = self.reference_steps(dst, step)
+        sweep = unigram._Sweep(dst, step)
+        assert np.array_equal(sweep.order, order)
+        assert [(lo, hi, heads.tolist(), targets.tolist())
+                for lo, hi, heads, targets in sweep.steps] == steps
+
+    def test_a_word_past_16_bits_keeps_its_order(self):
+        # ends 1..40000 descending, so the int16 cast would wrap and reorder
+        end = np.arange(40000, 0, -1, dtype=np.intc)
+        sweep = unigram._Sweep(end, end)
+        assert np.array_equal(sweep.order, np.arange(39999, -1, -1))
 
 
 class TestDerivedVocab:
