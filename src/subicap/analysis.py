@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Corpus, normalize_text
 from .errors import OutOfInventoryError
-from .model.transformer import ModelConfig, param_shapes
+from .model.transformer import ModelConfig, num_params, param_shapes
 from .unigram import SubwordVocab, TrainerConfig, train_unigram, viterbi_segment
 
 
@@ -139,24 +140,16 @@ def param_count(vocab_size: int, **dims) -> ParamCount:
     2 * (v1 - v2) * d_model.
     """
     cfg = ModelConfig(vocab_size=vocab_size, **dims)
-    embedding = output = core = 0
-    for name, shape in param_shapes(cfg):
-        size = 1
-        for s in shape:
-            size *= s
-        if name == "embed.W":
-            embedding += size
-        elif name == "out.W":
-            output += size
-        else:
-            core += size
+    shapes = dict(param_shapes(cfg))
+    embedding, output = math.prod(shapes["embed.W"]), math.prod(shapes["out.W"])
+    total = num_params(cfg)
     return ParamCount(
         vocab_size=vocab_size,
         d_model=cfg.d_model,
         embedding_params=embedding,
         output_params=output,
-        core_params=core,
-        total_params=embedding + output + core,
+        core_params=total - embedding - output,
+        total_params=total,
     )
 
 

@@ -16,10 +16,10 @@ from typing import Sequence
 
 from .corpus import Corpus, normalize_text, read_text
 from .errors import VocabFormatError
-from .unigram import CONTINUATION, mark_continuations
+from .unigram import CONTINUATION, CONTROL_TOKENS, mark_continuations
 
-WORD_SPECIALS = ("<pad>", "<bos>", "<eos>", "<unk>")
 UNK = "<unk>"
+WORD_SPECIALS = CONTROL_TOKENS + (UNK,)
 
 BPE_HEADER = "#bpe"
 
@@ -30,16 +30,9 @@ BPE_HEADER = "#bpe"
 
 @dataclass(frozen=True)
 class BpeModel:
-    """Ordered merge list plus the symbol set it induces.
-
-    vocab is the training character alphabet together with every merge
-    product; after loading from a file (which stores only merges) it is the
-    reconstructible subset: symbols mentioned in merges and their products.
-    Tokenization itself never consults vocab, so behavior is identical.
-    """
+    """The ordered merge list, which alone defines tokenization."""
 
     merges: tuple[tuple[str, str], ...]
-    vocab: frozenset[str]
 
 
 def _merge_word(symbols: list[str], left: str, right: str) -> list[str]:
@@ -67,7 +60,6 @@ def train_bpe(corpus: Corpus, num_merges: int) -> BpeModel:
     words: dict[str, list[str]] = {w: list(w) for w in corpus.word_counts}
     counts = corpus.word_counts
     merges: list[tuple[str, str]] = []
-    alphabet = {ch for w in words for ch in w}
     for _ in range(num_merges):
         pair_counts: Counter[tuple[str, str]] = Counter()
         for w, symbols in words.items():
@@ -84,8 +76,7 @@ def train_bpe(corpus: Corpus, num_merges: int) -> BpeModel:
         for w, symbols in words.items():
             if best[0] in symbols:
                 words[w] = _merge_word(symbols, *best)
-    vocab = alphabet | {a + b for a, b in merges}
-    return BpeModel(tuple(merges), frozenset(vocab))
+    return BpeModel(tuple(merges))
 
 
 def _bpe_word_symbols(word: str, model: BpeModel) -> list[str]:
@@ -132,8 +123,7 @@ def load_bpe(path: str | Path) -> BpeModel:
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise VocabFormatError(f"{path}: line {lineno}: expected 'left right'")
         merges.append((parts[0], parts[1]))
-    vocab = {s for pair in merges for s in pair} | {a + b for a, b in merges}
-    return BpeModel(tuple(merges), frozenset(vocab))
+    return BpeModel(tuple(merges))
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +131,19 @@ def load_bpe(path: str | Path) -> BpeModel:
 
 
 class WordVocab:
-    """Words kept at min_freq, specials first; everything else maps to <unk>."""
+    """Distinct words, specials first; everything else maps to <unk>."""
 
-    __slots__ = ("words", "min_freq", "_index")
+    __slots__ = ("words", "_index")
 
-    def __init__(self, words: Sequence[str], min_freq: int):
+    def __init__(self, words: Sequence[str]):
         words = tuple(words)
         if words[: len(WORD_SPECIALS)] != WORD_SPECIALS:
             raise VocabFormatError("word vocab must start with the special tokens")
-        self.words = words
-        self.min_freq = min_freq
         self._index = frozenset(words)
+        if len(self._index) != len(words):
+            repeated = next(w for w, c in Counter(words).items() if c > 1)
+            raise VocabFormatError(f"word vocab repeats {repeated!r}")
+        self.words = words
 
     @property
     def size(self) -> int:
@@ -165,9 +157,9 @@ def train_word_vocab(corpus: Corpus, min_freq: int = 5) -> WordVocab:
     if min_freq < 1:
         raise ValueError("min_freq must be >= 1")
     counts = corpus.word_counts
-    kept = [w for w, c in counts.items() if c >= min_freq]
+    kept = [w for w, c in counts.items() if c >= min_freq and w not in WORD_SPECIALS]
     kept.sort(key=lambda w: (-counts[w], w))
-    return WordVocab(WORD_SPECIALS + tuple(kept), min_freq)
+    return WordVocab(WORD_SPECIALS + tuple(kept))
 
 
 def word_tokenize(text: str, vocab: WordVocab) -> list[str]:
@@ -191,8 +183,8 @@ def save_word_vocab(vocab: WordVocab, path: str | Path) -> None:
     )
 
 
-def load_word_vocab(path: str | Path, min_freq: int = 5) -> WordVocab:
+def load_word_vocab(path: str | Path) -> WordVocab:
     words = read_text(path, VocabFormatError).splitlines()
     if len(words) < len(WORD_SPECIALS):
         raise VocabFormatError(f"{path}: missing special tokens")
-    return WordVocab(tuple(words), min_freq)
+    return WordVocab(words)

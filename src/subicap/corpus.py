@@ -108,7 +108,8 @@ def load_corpus(path: str | Path, max_words: int = DEFAULT_MAX_WORDS) -> Corpus:
 
     A data line without a tab is rejected with its 1-based line number.
     """
-    captions: list[Caption] = []
+    ids: list[str] = []
+    texts: list[str] = []
     # universal newlines: "\r\n" and "\r" arrive as "\n"
     lines = read_text(path, CorpusFormatError).split("\n")
     for lineno, line in enumerate(lines, start=1):
@@ -119,10 +120,9 @@ def load_corpus(path: str | Path, max_words: int = DEFAULT_MAX_WORDS) -> Corpus:
                 f"line {lineno}: expected image_id<TAB>caption, got {line!r}"
             )
         image_id, raw = line.split("\t", 1)
-        captions.append(
-            Caption(image_id, truncate_words(normalize_text(raw), max_words))
-        )
-    return Corpus(captions)
+        ids.append(image_id)
+        texts.append(raw)
+    return Corpus.from_texts(texts, ids, max_words)
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:

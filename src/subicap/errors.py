@@ -31,10 +31,6 @@ class OrphanContinuationError(SubicapError):
     """A continuation-marked piece appeared with no word in progress."""
 
 
-class UnknownPieceError(SubicapError):
-    """A piece is not a vocabulary entry."""
-
-
 class VocabFormatError(SubicapError):
     """A serialized vocabulary file is malformed."""
 

@@ -91,10 +91,7 @@ def synthetic_regions(seed: int, n_images: int, d_in: int = 16) -> list[Scene]:
                     appearance=appearance,
                 )
             )
-        rel = _relation(
-            np.array([centers[0, 0], centers[0, 1]]),
-            np.array([centers[1, 0], centers[1, 1]]),
-        )
+        rel = _relation(centers[0], centers[1])
         caption = f"a {CLASS_NAMES[c1]} is {rel} a {CLASS_NAMES[c2]}"
         scenes.append(Scene(f"synth{i:04d}", RegionSet(regions), caption))
     return scenes

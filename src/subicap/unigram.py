@@ -55,17 +55,11 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import Corpus, normalize_text, read_text
-from .errors import (
-    OrphanContinuationError,
-    OutOfInventoryError,
-    UnknownPieceError,
-    VocabFormatError,
-)
+from .errors import OrphanContinuationError, OutOfInventoryError, VocabFormatError
 
 CONTINUATION = "_"
 PAD, BOS, EOS = "<pad>", "<bos>", "<eos>"
 CONTROL_TOKENS = (PAD, BOS, EOS)
-PAD_ID, BOS_ID, EOS_ID = 0, 1, 2
 NUM_CONTROLS = 3
 
 # training recipe: seed with 20x the target, pieces of at most 16 content
@@ -110,9 +104,6 @@ class TokenSequence:
     pieces: tuple[str, ...]
     ids: tuple[int, ...]
     total_score: float
-
-    def __len__(self) -> int:
-        return len(self.pieces)
 
 
 @dataclass(frozen=True)
@@ -179,18 +170,6 @@ class SubwordVocab:
 
     def __contains__(self, piece: str) -> bool:
         return piece in self.piece_to_id
-
-    def score(self, piece: str) -> float:
-        try:
-            return self.scores[self.piece_to_id[piece]]
-        except KeyError:
-            raise UnknownPieceError(f"piece {piece!r} is not in the vocabulary") from None
-
-    def token_id(self, piece: str) -> int:
-        try:
-            return self.piece_to_id[piece] + NUM_CONTROLS
-        except KeyError:
-            raise UnknownPieceError(f"piece {piece!r} is not in the vocabulary") from None
 
     def piece_of_token(self, token_id: int) -> str:
         if token_id < NUM_CONTROLS:
@@ -506,11 +485,8 @@ def build_seed_vocab(corpus: Corpus, seed_size: int) -> SubwordVocab:
     if not corpus.captions or not corpus.word_counts:
         raise ValueError("cannot seed a vocabulary from an empty corpus")
     counts = _positional_substring_counts(corpus)
-    forced: list[str] = sorted(corpus.char_inventory - {" "}) + (
-        [" "] if " " in corpus.char_inventory else []
-    )
     singles: list[tuple[str, int]] = []
-    for ch in forced:
+    for ch in sorted(corpus.char_inventory):
         singles.append((ch, max(counts.get(ch, 0), 1)))
         marked = CONTINUATION + ch
         if counts.get(marked, 0) > 0:

@@ -6,6 +6,7 @@ from subicap.baselines import (
     BpeModel,
     UNK,
     WORD_SPECIALS,
+    WordVocab,
     bpe_tokenize,
     load_bpe,
     load_word_vocab,
@@ -32,7 +33,6 @@ class TestTrainBpe:
         corpus = Corpus.from_texts(["ab", "ab", "b"])
         model = train_bpe(corpus, 5)
         assert model.merges == (("a", "b"),)
-        assert {"a", "b", "ab"} <= model.vocab
 
     def test_merge_count_tie_breaks_lexicographically(self):
         # (x,y) and (a,b) both occur twice; (a,b) sorts first
@@ -89,7 +89,7 @@ class TestBpeTokenize:
     def test_word_initial_underscore_symbol_is_split(self):
         # a merge product that starts with the marker char must not sit at
         # a word start, or detokenize would glue it onto the previous word
-        model = BpeModel(merges=(("_", "a"),), vocab=frozenset({"_", "a", "_a"}))
+        model = BpeModel(merges=(("_", "a"),))
         pieces = bpe_tokenize("_a", model)
         assert pieces == ["_", "_a"]
         assert detokenize(pieces) == "_a"
@@ -168,6 +168,21 @@ class TestWordVocab:
         assert oov_rate(["a zebu cat quagga"], vocab) == pytest.approx(0.5)
         assert oov_rate([], vocab) == 0.0
 
+    def test_caption_words_spelled_as_specials_are_counted_once(self):
+        corpus = Corpus.from_texts(["a <unk> cat <BOS>"] * 5)
+        vocab = train_word_vocab(corpus, min_freq=5)
+        assert vocab.words == WORD_SPECIALS + ("a", "cat")
+        assert vocab.size == 6
+
+    def test_rejects_a_repeated_word(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text("\n".join(WORD_SPECIALS + ("cat", "<unk>")) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(VocabFormatError, match="repeats '<unk>'"):
+            load_word_vocab(path)
+        with pytest.raises(VocabFormatError, match="repeats 'cat'"):
+            WordVocab(WORD_SPECIALS + ("cat", "dog", "cat"))
+
     def test_rejects_nonpositive_min_freq(self):
         with pytest.raises(ValueError):
             train_word_vocab(Corpus.from_texts(["a"]), 0)
@@ -183,7 +198,7 @@ class TestWordVocab:
         vocab = train_word_vocab(desk, min_freq=5)
         path = tmp_path / "words.txt"
         save_word_vocab(vocab, path)
-        loaded = load_word_vocab(path, min_freq=5)
+        loaded = load_word_vocab(path)
         assert loaded.words == vocab.words
 
     def test_load_requires_specials(self, tmp_path):

@@ -4,31 +4,43 @@ A truncated or byte-mutated copy of a valid corpus, vocabulary, BPE model,
 word vocabulary or checkpoint either loads or raises that loader's own
 SubicapError subclass, never anything else; through main(), a file that
 does not load, or a config file holding any JSON value for an option,
-gives one "subicap: error:" line and exit 2.
+gives one "subicap: error:" line and exit 2. A saved BPE model or word
+vocabulary loads back equal, and load_corpus reads any file as a reference
+parse does.
 """
 
 import contextlib
 import io
 import json
 import os
+import re
 import struct
 import sys
 import tempfile
+import unicodedata
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subicap.baselines import load_bpe, load_word_vocab
+from subicap.baselines import (
+    load_bpe,
+    load_word_vocab,
+    save_bpe,
+    save_word_vocab,
+    train_bpe,
+    train_word_vocab,
+)
 from subicap.cli import COMMANDS, REQUIRED, main
-from subicap.corpus import load_corpus
+from subicap.corpus import Corpus, load_corpus
 from subicap.errors import CheckpointError, CorpusFormatError, VocabFormatError
 from subicap.model.synthetic import synthetic_regions
 from subicap.model.transformer import load_checkpoint
 from subicap.unigram import load_vocab
 
 EXAMPLES = settings(max_examples=75, deadline=None, derandomize=True)
+ROUND_TRIPS = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +146,84 @@ def test_generate_on_a_damaged_file_fails_with_one_line(files, data):
         assert len(lines) == 1 and lines[0].startswith("subicap: error:")
     if not loads:
         assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip") / "file"
+
+
+# a few words over a small alphabet (so pairs repeat and merges happen) or
+# any characters, including the marker and compatibility forms
+WORDS = st.text(st.sampled_from("ab_cＡﬁ") | st.characters(exclude_categories=("Cs",)),
+                min_size=1, max_size=5)
+CAPTIONS = st.lists(WORDS, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=6)
+                          .map(" ".join), min_size=1, max_size=8))
+
+
+@ROUND_TRIPS
+@given(texts=CAPTIONS, num_merges=st.integers(0, 8))
+def test_bpe_model_loads_back_equal(scratch, texts, num_merges):
+    corpus = Corpus.from_texts(texts)
+    if corpus.word_counts:
+        model = train_bpe(corpus, num_merges)
+        save_bpe(model, scratch)
+        assert load_bpe(scratch) == model
+
+
+@ROUND_TRIPS
+@given(texts=CAPTIONS, min_freq=st.integers(1, 3))
+def test_word_vocab_loads_back_equal(scratch, texts, min_freq):
+    vocab = train_word_vocab(Corpus.from_texts(texts), min_freq)
+    save_word_vocab(vocab, scratch)
+    assert load_word_vocab(scratch).words == vocab.words
+
+
+def reference_load_corpus(raw: str, max_words: int) -> list[tuple[str, str]] | int:
+    """The (image id, caption) rows of a corpus file, or the 1-based number
+    of its first data line without a tab."""
+    rows = []
+    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", raw), start=1):
+        if line.startswith("#") or line.isspace() or not line:
+            continue
+        if "\t" not in line:
+            return lineno
+        image_id, caption = line.split("\t", 1)
+        words = unicodedata.normalize("NFKC", caption).lower().split()
+        rows.append((image_id, " ".join(words[:max_words])))
+    return rows
+
+
+SPACES = st.sampled_from([" ", "  ", "\t", "\xa0", "\u3000", "\x85", "\u2028", "\x0b"])
+CORPUS_WORDS = st.sampled_from(["cat", "CAT", "ﬁsh", "Ｄog", "①", "㎏", "Å", "_a", "#"])
+CORPUS_LINES = st.one_of(
+    st.text("# ab", max_size=4).map(lambda t: "#" + t),  # comment
+    st.lists(SPACES, max_size=3).map("".join),  # blank
+    st.tuples(st.text("img0 #", max_size=4).filter(lambda i: not i.startswith("#")),
+              st.lists(st.tuples(CORPUS_WORDS, SPACES), max_size=8))
+    .map(lambda r: r[0] + "\t" + "".join(w + s for w, s in r[1])),  # data
+)
+NO_TAB_LINE = st.text("ab ", min_size=1, max_size=4).filter(str.strip)
+
+
+@ROUND_TRIPS
+@given(lines=st.lists(CORPUS_LINES, max_size=8),
+       bad=st.none() | st.tuples(st.integers(0, 8), NO_TAB_LINE),
+       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=9, max_size=9),
+       max_words=st.integers(1, 4))
+def test_load_corpus_matches_a_reference_parse(scratch, lines, bad, ends, max_words):
+    if bad is not None:
+        lines.insert(*bad)
+    raw = "".join(line + end for line, end in zip(lines, ends))
+    scratch.write_bytes(raw.encode("utf-8"))
+    want = reference_load_corpus(raw, max_words)
+    if isinstance(want, int):
+        with pytest.raises(CorpusFormatError, match=f"^line {want}:"):
+            load_corpus(scratch, max_words)
+    else:
+        corpus = load_corpus(scratch, max_words)
+        assert [(c.image_id, c.text) for c in corpus.captions] == want
 
 
 # any JSON value; strings are short names, so a path lands in the scratch

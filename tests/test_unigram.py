@@ -30,16 +30,13 @@ from subicap.corpus import Corpus, bundled_corpus_path, load_corpus, normalize_t
 from subicap.errors import (
     OrphanContinuationError,
     OutOfInventoryError,
-    UnknownPieceError,
     VocabFormatError,
 )
+from subicap.model.transformer import BOS_ID, EOS_ID, PAD_ID
 from subicap.unigram import (
-    BOS_ID,
     CONTINUATION,
-    EOS_ID,
     NUM_CONTROLS,
     LatticeTable,
-    PAD_ID,
     SubwordVocab,
     TrainerConfig,
     build_lattice,
@@ -94,7 +91,8 @@ def brute_force_segment(word, vocab):
             if pos == 0 and len(content) > 1 and content[0] == CONTINUATION:
                 continue
             if piece in vocab:
-                walk(end, pieces + [piece], score + vocab.score(piece))
+                walk(end, pieces + [piece],
+                     score + vocab.scores[vocab.piece_to_id[piece]])
 
     walk(0, [], 0.0)
     if not results:
@@ -151,10 +149,9 @@ class TestTrainerConfig:
 class TestSubwordVocab:
     def test_token_id_space_reserves_controls(self):
         v = _uniform_vocab(["a", "b"])
-        assert (PAD_ID, BOS_ID, EOS_ID) == (0, 1, 2)
-        assert v.token_id("a") == NUM_CONTROLS
-        assert v.token_id("b") == NUM_CONTROLS + 1
-        assert v.piece_of_token(0) == "<pad>"
+        assert [v.piece_of_token(t) for t in (PAD_ID, BOS_ID, EOS_ID)] == [
+            "<pad>", "<bos>", "<eos>"]
+        assert v.piece_of_token(NUM_CONTROLS) == "a"
         assert v.piece_of_token(NUM_CONTROLS + 1) == "b"
         assert v.num_tokens == v.size + NUM_CONTROLS
 
@@ -175,13 +172,6 @@ class TestSubwordVocab:
             SubwordVocab([("a", 0.5)])
         with pytest.raises(VocabFormatError):
             SubwordVocab([("a", float("-inf"))])
-
-    def test_unknown_piece_error(self):
-        v = _uniform_vocab(["a"])
-        with pytest.raises(UnknownPieceError):
-            v.score("zz")
-        with pytest.raises(UnknownPieceError):
-            v.token_id("zz")
 
 
 @st.composite
@@ -298,7 +288,7 @@ class TestViterbi:
     def test_ids_match_pieces(self):
         v = _uniform_vocab(["a", "_a", "b", "_b"])
         seq = viterbi_segment("ab", v)
-        assert seq.ids == tuple(v.token_id(p) for p in seq.pieces)
+        assert seq.ids == tuple(v.piece_to_id[p] + NUM_CONTROLS for p in seq.pieces)
 
     def test_error_position_is_caption_relative(self):
         v = _uniform_vocab(["a", "_a", "b", "_b"])
