@@ -17,7 +17,8 @@ from typing import Sequence
 from .corpus import Corpus, normalize_text
 from .errors import OutOfInventoryError
 from .model.transformer import ModelConfig, num_params, param_shapes
-from .unigram import SubwordVocab, TrainerConfig, train_unigram, viterbi_segment
+from .unigram import (SubwordVocab, TrainerConfig, memoise_segmentations, train_unigram,
+                      viterbi_segment)
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +46,7 @@ def measure_tokenizer(corpus: Corpus, vocab: SubwordVocab,
     """Token statistics of one vocabulary over one corpus. Words the
     vocabulary cannot cover count toward oov_word_rate and their captions
     are measured over the words that do segment."""
+    memoise_segmentations(corpus.word_counts, vocab)
     total_tokens = 0
     max_tokens = 0
     used: set[str] = set()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Corpus, normalize_text, read_text
+from .corpus import Corpus, normalize_words, read_text
 from .errors import VocabFormatError
 from .unigram import CONTINUATION, CONTROL_TOKENS, mark_continuations
 
@@ -97,7 +97,7 @@ def bpe_tokenize(text: str, model: BpeModel) -> list[str]:
     underscore is split off as its own piece.
     """
     per_word: list[list[str]] = []
-    for word in normalize_text(text).split():
+    for word in normalize_words(text):
         symbols = _bpe_word_symbols(word, model)
         if len(symbols[0]) > 1 and symbols[0][0] == CONTINUATION:
             symbols = [CONTINUATION, symbols[0][1:]] + symbols[1:]
@@ -131,26 +131,28 @@ def load_bpe(path: str | Path) -> BpeModel:
 
 
 class WordVocab:
-    """Distinct words, specials first; everything else maps to <unk>."""
+    """Distinct words, specials first. Only the words after the specials
+    are members (`in`): everything else, a special's spelling included,
+    maps to <unk>."""
 
-    __slots__ = ("words", "_index")
+    __slots__ = ("words", "_learned")
 
     def __init__(self, words: Sequence[str]):
         words = tuple(words)
         if words[: len(WORD_SPECIALS)] != WORD_SPECIALS:
             raise VocabFormatError("word vocab must start with the special tokens")
-        self._index = frozenset(words)
-        if len(self._index) != len(words):
+        if len(set(words)) != len(words):
             repeated = next(w for w, c in Counter(words).items() if c > 1)
             raise VocabFormatError(f"word vocab repeats {repeated!r}")
         self.words = words
+        self._learned = frozenset(words[len(WORD_SPECIALS):])
 
     @property
     def size(self) -> int:
         return len(self.words)
 
     def __contains__(self, word: str) -> bool:
-        return word in self._index
+        return word in self._learned
 
 
 def train_word_vocab(corpus: Corpus, min_freq: int = 5) -> WordVocab:
@@ -163,11 +165,14 @@ def train_word_vocab(corpus: Corpus, min_freq: int = 5) -> WordVocab:
 
 
 def word_tokenize(text: str, vocab: WordVocab) -> list[str]:
-    return [w if w in vocab else UNK for w in normalize_text(text).split()]
+    """The normalized words, each one the vocabulary did not learn as <unk>."""
+    return [w if w in vocab else UNK for w in normalize_words(text)]
 
 
 def oov_rate(texts: Sequence[str], vocab: WordVocab) -> float:
-    """Fraction of word tokens mapping to <unk>."""
+    """Fraction of word tokens mapping to <unk>. train_word_vocab never
+    learns a special, so a caption word spelled like one, <unk> included,
+    counts as out of vocabulary."""
     total = 0
     oov = 0
     for text in texts:

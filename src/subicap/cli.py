@@ -213,20 +213,26 @@ def _write_lines(lines: list[str], path: str | None) -> None:
             print(line)
 
 
-def _map_lines(r: dict, convert) -> int:
-    """--input (or stdin) to --output (or stdout); blank lines pass through."""
-    _write_lines([convert(line) if line.strip() else ""
-                  for line in _read_lines(r["input"])], r["output"])
+def _map_lines(lines: list[str], output: str | None, convert) -> int:
+    """The converted lines to `output` (or stdout); blank lines pass through."""
+    _write_lines([convert(line) if line.strip() else "" for line in lines], output)
     return 0
 
 
 def cmd_encode(r: dict) -> int:
     vocab = unigram.load_vocab(r["vocab"])
-    return _map_lines(r, lambda line: " ".join(unigram.encode(line, vocab).pieces))
+    lines = _read_lines(r["input"])
+    # one batch for every distinct word, whose memo each line's encode reads;
+    # the words arrive line by line, so only the distinct ones are held
+    unigram.memoise_segmentations(
+        (word for line in lines for word in corpus_mod.normalize_words(line)), vocab)
+    return _map_lines(lines, r["output"],
+                      lambda line: " ".join(unigram.encode(line, vocab).pieces))
 
 
 def cmd_decode(r: dict) -> int:
-    return _map_lines(r, lambda line: unigram.detokenize(line.split(" ")))
+    return _map_lines(_read_lines(r["input"]), r["output"],
+                      lambda line: unigram.detokenize(line.split(" ")))
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,15 @@ def read_text(path: str | Path, error: type[SubicapError]) -> str:
         raise error(f"{path}: not UTF-8 text: {err}") from None
 
 
+def normalize_words(text: str) -> list[str]:
+    """The words of the canonical caption form: NFKC, lowercase, split at
+    whitespace."""
+    return unicodedata.normalize("NFKC", text).lower().split()
+
+
 def normalize_text(text: str) -> str:
     """Canonical caption form: NFKC, lowercase, single-space separated."""
-    folded = unicodedata.normalize("NFKC", text).lower()
-    return " ".join(folded.split())
+    return " ".join(normalize_words(text))
 
 
 def truncate_words(text: str, max_words: int = DEFAULT_MAX_WORDS) -> str:

@@ -24,21 +24,26 @@ results are bitwise reproducible.
 A lattice is the (start, end, piece id) of every vocabulary match over a
 word, as parallel int arrays in (start, end) order: per start, one key grows
 a character per end (from "" at the word start, "_" after it), one dict
-lookup each. It depends only on the piece set, not on the scores, so each
-piece set has one lattice table over the training words: the same spans with
-a word column, in (word, start, end) order, from one build_lattice call per
-distinct word. em_step hands the re-scored vocabulary the same table;
+lookup each (build_lattice, for one word). It depends only on the piece set,
+not on the scores, so each piece set has one lattice table over the training
+words: the same spans with a word column, in (word, start, end) order. The
+table comes from one array pass per key length over all words' positions at
+once, each key's hash looked up in a sorted index of the piece keys and
+every hit confirmed code point by code point, so it equals the build_lattice
+spans word by word. em_step hands the re-scored vocabulary the same table;
 prune_vocab filters its spans to the survivors and renumbers them, keeping
 their order. EM's forward and backward sums and pruning's best path without
 each piece run as array passes over the table, one step per character
 position across all words, with np.logaddexp / np.maximum reduceat; expected
 counts are one np.bincount in span order. These add in the order a scalar
 walk adds, so results are the same to the bit; for that the posterior's exp
-is libm's math.exp, since np.exp's SIMD kernel rounds differently. Pruning's
-best path of each word comes from the same max pass, traced back across all
-words at once; only a word with two best spans into a position on its path
-rebuilds its lattice and runs the one scalar Viterbi, which breaks the tie,
-and whose (pieces, score, token ids) encode memoises per word.
+is libm's math.exp, since np.exp's SIMD kernel rounds differently. Each
+word's best path comes from the same max pass, traced back across all words
+at once; only a word with two best spans into a position on its path
+rebuilds its lattice and runs the one scalar Viterbi, which breaks the tie.
+Pruning reads those paths, and so does memoise_segmentations, which fills
+encode's per-word memo of (pieces, score, token ids) for a batch of words;
+a word the memo lacks runs build_lattice and the scalar Viterbi.
 """
 
 from __future__ import annotations
@@ -48,13 +53,14 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, repeat
+from functools import cached_property
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, normalize_text, read_text
+from .corpus import Corpus, normalize_words, read_text
 from .errors import OrphanContinuationError, OutOfInventoryError, VocabFormatError
 
 CONTINUATION = "_"
@@ -286,32 +292,42 @@ class LatticeTable:
         self.offsets = np.searchsorted(word, np.arange(len(words) + 1))
         self.lengths = np.array([len(w) for w in words], dtype=np.int64)
         self.base = _bases(self.lengths)
-        self._sweeps: tuple[_Sweep, _Sweep] | None = None
 
     @classmethod
     def build(cls, words: tuple[str, ...], vocab: SubwordVocab) -> LatticeTable:
-        """One build_lattice call per word."""
-        word, start, end, piece_id = (array(_INT) for _ in range(4))
-        for row, w in enumerate(words):
-            lat = build_lattice(w, vocab)
-            word.extend(repeat(row, len(lat.piece_ids)))
-            start.extend(lat.starts)
-            end.extend(lat.ends)
-            piece_id.extend(lat.piece_ids)
-        return cls(words, *(np.frombuffer(a, dtype=np.intc)
-                            for a in (word, start, end, piece_id)))
+        """The build_lattice spans of every word, from one array pass (see
+        _match); raises build_lattice's OutOfInventoryError for the first
+        word with an uncovered position."""
+        spans, (rows, starts) = _match(words, vocab)
+        if len(rows):
+            row, i = int(rows[0]), int(starts[0])
+            raise OutOfInventoryError(words[row][i], i)
+        return cls(words, *spans)
+
+    @classmethod
+    def covering(cls, words: tuple[str, ...], vocab: SubwordVocab) -> LatticeTable:
+        """The table over the words with no uncovered position, in order."""
+        (word, start, end, piece_id), (rows, _) = _match(words, vocab)
+        covered = np.ones(len(words), dtype=bool)
+        covered[rows] = False
+        keep = covered[word]
+        renumbered = (np.cumsum(covered) - 1).astype(np.intc)
+        return cls(tuple(compress(words, covered)), renumbered[word[keep]],
+                   start[keep], end[keep], piece_id[keep])
 
     def flat(self, positions: np.ndarray) -> np.ndarray:
         """Each span's position in its word (its start or end), as a flat index."""
         return self.base[self.word] + positions
 
-    def sweeps(self) -> tuple[_Sweep, _Sweep]:
-        """The forward pass, by end, and the backward pass, by start from
-        the last, that EM runs over this table."""
-        if self._sweeps is None:
-            self._sweeps = (_Sweep(self.flat(self.end), self.end),
-                            _Sweep(self.flat(self.start), -self.start))
-        return self._sweeps
+    @cached_property
+    def forward(self) -> _Sweep:
+        """The pass by end that EM's forward sums and the max pass run."""
+        return _Sweep(self.flat(self.end), self.end)
+
+    @cached_property
+    def backward(self) -> _Sweep:
+        """The pass by start from the last that EM's backward sums run."""
+        return _Sweep(self.flat(self.start), -self.start)
 
     def filtered(self, new_ids: np.ndarray) -> LatticeTable:
         """The spans whose piece has a new id (>= 0), in order, renumbered."""
@@ -336,6 +352,100 @@ class LatticeTable:
             np.maximum, np.zeros(base[-1]), base[pair] + self.start[span],
             scores[self.piece_id[span]])
         return best[base[1:] - 1]
+
+
+# A key is its marker flag (1 after a word start) and its content's code
+# points. Its hash starts at flag + 1 and takes each code point c as
+# h * _HASH_BASE + c, modulo 2**64. Every hash hit is confirmed code point by
+# code point, so the hash decides only how many confirmations run.
+_HASH_BASE = np.uint64(0x100000001B3)
+
+
+def _code_points(strings: Iterable[str]) -> np.ndarray:
+    """The code points of the strings end to end, lone surrogates included."""
+    return np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"), "<u4")
+
+
+class _KeyIndex:
+    """Each piece's key: whether it is marked (flag) and its content code
+    points, where content c of piece p is chars[first[p] + c]; and the
+    piece ids ordered by (content length, key hash), the pieces of length l
+    at bounds[l]:bounds[l + 1] of ids and of their sorted hashes. At most
+    `runs` pieces of one length share a hash.
+
+    Each table build makes its own: a piece set's table is built once, and
+    an index kept on the seed vocabulary would live through training."""
+
+    def __init__(self, pieces: tuple[str, ...], lengths: np.ndarray):
+        sizes = np.fromiter(map(len, pieces), np.intc, len(pieces))
+        self.chars = _code_points(pieces)
+        self.flag = sizes != lengths  # a continuation's marker is not content
+        self.first = np.cumsum(sizes, dtype=np.intc) - sizes + self.flag
+        key = self.flag.astype(np.uint64) + 1
+        longest = int(lengths.max(initial=0))
+        for c in range(longest):
+            grows = np.flatnonzero(lengths > c)
+            key[grows] = key[grows] * _HASH_BASE + self.chars[self.first[grows] + c]
+        self.ids = np.lexsort((key, lengths))
+        self.hashes = key[self.ids]
+        ordered = lengths[self.ids]
+        self.bounds = np.searchsorted(ordered, np.arange(longest + 2))
+        new = (np.diff(self.hashes) != 0) | (np.diff(ordered) != 0)
+        self.runs = int(np.diff(np.flatnonzero(np.concatenate(([True], new, [True])))).max())
+
+
+def _match(words: tuple[str, ...], vocab: SubwordVocab
+           ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, np.ndarray]]:
+    """Every vocabulary match over the words, as the (word, start, end,
+    piece id) arrays of a lattice table, and the (word, start) of every
+    position no single-character piece covers, both in order.
+
+    One pass per key length l over all words' positions at once: each
+    position's key grows by one character and is looked up in the key
+    index's pieces of length l. A word-start key holds no marker, and every
+    piece whose content opens with '_' past one character is marked, so
+    _key_span's bar on those keys needs no check here.
+    """
+    keys = _KeyIndex(vocab.pieces, vocab.lengths)
+    sizes = np.fromiter(map(len, words), np.intc, len(words))
+    if not sizes.all():
+        raise ValueError("cannot build a lattice over an empty word")
+    chars = _code_points(words)
+    row = np.repeat(np.arange(len(words), dtype=np.intc), sizes)
+    start = np.arange(len(chars), dtype=np.intc) - np.repeat(
+        np.cumsum(sizes, dtype=np.intc) - sizes, sizes)
+    longest = np.minimum(sizes[row] - start, vocab.max_content_length)
+    at = np.arange(len(chars))  # the positions whose key grows on
+    key = (start > 0).astype(np.uint64) + 1
+    # the spans found, per length and hash run, as np.intc like the table's
+    # columns: at the int64 of the position arrays, they would double the
+    # build's peak memory
+    found_pos, found_end, found_pid = ([np.zeros(0, np.intc)] for _ in range(3))
+    for length in range(1, vocab.max_content_length + 1):
+        grows = np.flatnonzero(longest[at] >= length)
+        at, key = at[grows], key[grows] * _HASH_BASE + chars[at[grows] + length - 1]
+        lo, hi = keys.bounds[length:length + 2]
+        hashes = keys.hashes[lo:hi]
+        first = np.searchsorted(hashes, key)
+        for k in range(keys.runs):  # > 1 only on a collision
+            cand = np.flatnonzero(first < len(hashes) - k)
+            cand = cand[hashes[first[cand] + k] == key[cand]]
+            pos, pid = at[cand], keys.ids[lo + first[cand] + k]
+            same = keys.flag[pid] == (start[pos] > 0)
+            for c in range(length):
+                same &= keys.chars[keys.first[pid] + c] == chars[pos + c]
+            pos = pos[same]
+            found_pos.append(pos.astype(np.intc))
+            found_end.append(start[pos] + length)
+            found_pid.append(pid[same].astype(np.intc))
+    pos = np.concatenate(found_pos)
+    order = np.argsort(pos, kind="stable")  # found is in length order
+    pos, end = pos[order], np.concatenate(found_end)[order]
+    covered = np.zeros(len(chars), dtype=bool)
+    covered[pos[end - start[pos] == 1]] = True
+    uncovered = np.flatnonzero(~covered)
+    spans = (row[pos], start[pos], end, np.concatenate(found_pid)[order])
+    return spans, (row[uncovered], start[uncovered])
 
 
 def _key_span(word: str, i: int, max_len: int) -> tuple[str, int]:
@@ -403,35 +513,51 @@ def _viterbi_word(word: str, vocab: SubwordVocab
     return pieces, score, tuple(vocab.piece_to_id[p] + NUM_CONTROLS for p in pieces)
 
 
-def viterbi_segment(text: str, vocab: SubwordVocab) -> TokenSequence:
-    """Segment a normalized caption word by word; scores add across words.
+def _segment(words: Sequence[str], vocab: SubwordVocab,
+             offset: Callable[[int], int]) -> TokenSequence:
+    """Segment the words in order; scores add across words.
 
     Each word's (pieces, score, token ids) is memoised in the vocabulary; a
-    word that cannot be segmented raises every time, at its caption offset.
+    word k that cannot be segmented raises every time, at offset(k) plus
+    its position in the word.
     """
     memo = vocab._segmentations
     pieces: list[str] = []
     ids: list[int] = []
     total = 0.0
-    for k, word in enumerate(text.split()):
+    for k, word in enumerate(words):
         seg = memo.get(word)
         if seg is None:
             try:
                 seg = memo[word] = _viterbi_word(word, vocab)
             except OutOfInventoryError as err:
-                end = 0  # the str.index walk to the end of this word
-                for w in text.split()[:k + 1]:
-                    end = text.index(w, end) + len(w)
-                raise OutOfInventoryError(err.char, end - len(word) + err.position) from None
+                raise OutOfInventoryError(err.char, offset(k) + err.position) from None
         pieces += seg[0]
         total += seg[1]
         ids += seg[2]
     return TokenSequence(tuple(pieces), tuple(ids), total)
 
 
+def viterbi_segment(text: str, vocab: SubwordVocab) -> TokenSequence:
+    """Segment a caption's whitespace-separated words; a word that cannot
+    be segmented raises at its offset in `text`."""
+    words = text.split()
+
+    def offset(k: int) -> int:
+        end = 0  # the str.index walk to the end of word k
+        for w in words[:k + 1]:
+            end = text.index(w, end) + len(w)
+        return end - len(words[k])
+
+    return _segment(words, vocab, offset)
+
+
 def encode(text: str, vocab: SubwordVocab) -> TokenSequence:
-    """Normalize then segment. Idempotent on already-normalized text."""
-    return viterbi_segment(normalize_text(text), vocab)
+    """Normalize then segment: a word that cannot be segmented raises at
+    its offset in the normalized text, whose words one space separates.
+    Idempotent on already-normalized text."""
+    words = normalize_words(text)
+    return _segment(words, vocab, lambda k: sum(map(len, words[:k])) + k)
 
 
 def detokenize(tokens: TokenSequence | Iterable[str]) -> str:
@@ -514,10 +640,9 @@ def em_step(corpus: Corpus, vocab: SubwordVocab) -> tuple[SubwordVocab, float]:
     counts = np.array(list(corpus.word_counts.values()), dtype=np.float64)
     span_scores = np.array(vocab.scores)[table.piece_id]
     src, dst = table.flat(table.start), table.flat(table.end)
-    forward, backward = table.sweeps()
     # position 0 of each word starts the forward pass, its end the backward
-    fwd = forward.run(np.logaddexp, np.zeros(table.base[-1]), src, span_scores)
-    bwd = backward.run(np.logaddexp, np.zeros(table.base[-1]), dst, span_scores)
+    fwd = table.forward.run(np.logaddexp, np.zeros(table.base[-1]), src, span_scores)
+    bwd = table.backward.run(np.logaddexp, np.zeros(table.base[-1]), dst, span_scores)
     log_z = fwd[table.base[1:] - 1]
     log_posterior = fwd[src] + span_scores + bwd[dst] - log_z[table.word]
     posterior = np.fromiter(map(math.exp, memoryview(log_posterior)), np.float64,
@@ -538,49 +663,82 @@ def em_step(corpus: Corpus, vocab: SubwordVocab) -> tuple[SubwordVocab, float]:
     return vocab._derived([math.log(e / total) for e in floored]), log_likelihood
 
 
-def _best_paths(table: LatticeTable, vocab: SubwordVocab
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each table word's best path score, and the (piece, word row) of every
-    unprotected piece on its tie-broken best path: once each, in (piece,
-    row) order.
+def _trace_best(table: LatticeTable, vocab: SubwordVocab
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each table word's best path score and whether it is tied, and the
+    spans of every word's traced best path as parallel (row, span) arrays,
+    in (row, start) order.
 
     One max pass over the table gives every position's best score; a span
     is on a best path when it reaches its end's best score. Tracing those
     spans back from each word's end, one piece per step across all words,
-    gives the word's path, unless a position on it has two such spans: only
-    those words run the scalar Viterbi, which breaks the tie.
+    gives the word's path, unless a position on it has two such spans: the
+    word is tied, and only the scalar Viterbi breaks the tie.
     """
     n = len(table.words)
     span_scores = np.array(vocab.scores)[table.piece_id]
     src, dst = table.flat(table.start), table.flat(table.end)
-    best = table.sweeps()[0].run(np.maximum, np.zeros(table.base[-1]), src, span_scores)
+    best = table.forward.run(np.maximum, np.zeros(table.base[-1]), src, span_scores)
     on_path = np.flatnonzero(best[src] + span_scores == best[dst])
     into = np.zeros(table.base[-1], dtype=np.int64)  # a best span into each position
     into[dst[on_path]] = on_path
     tie_at = np.bincount(dst[on_path], minlength=table.base[-1]) > 1
     tied = np.zeros(n, dtype=bool)
-    keys = [np.zeros(0, dtype=np.int64)]  # piece * n + row per path piece
+    rows, spans = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     row, pos = np.arange(n), table.base[1:] - 1
     while len(row):
         span = into[pos]
         tied[row[tie_at[pos]]] = True
-        keys.append(table.piece_id[span].astype(np.int64) * n + row)
+        rows.append(row)
+        spans.append(span)
         pos = src[span]
         more = pos > table.base[row]
         row, pos = row[more], pos[more]
-    keys = np.concatenate(keys)
-    pieces, rows = np.divmod(keys, n)
-    keep = vocab.lengths[pieces] > 1
-    keep[tied[rows]] = False  # a tied word's path is the scalar Viterbi's
+    # the steps run from each word's end: reversed, a stable sort by row
+    # puts each word's spans in start order
+    row, span = np.concatenate(rows[::-1]), np.concatenate(spans[::-1])
+    order = np.argsort(row, kind="stable")
+    return best[table.base[1:] - 1], tied, row[order], span[order]
+
+
+def _best_paths(table: LatticeTable, vocab: SubwordVocab
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each table word's best path score, and the (piece, word row) of every
+    unprotected piece on its tie-broken best path: once each, in (piece,
+    row) order. A tied word's path is the scalar Viterbi's."""
+    n = len(table.words)
+    scores, tied, rows, spans = _trace_best(table, vocab)
+    pieces = table.piece_id[spans].astype(np.int64)
+    keep = (vocab.lengths[pieces] > 1) & ~tied[rows]
     tie_keys = [vocab.piece_to_id[p] * n + r for r in np.flatnonzero(tied).tolist()
                 for p in _viterbi_word(table.words[r], vocab)[0]
                 if p not in vocab.required_chars]
-    keys = np.concatenate((keys[keep], np.array(tie_keys, dtype=np.int64)))
+    keys = np.concatenate((pieces[keep] * n + rows[keep], np.array(tie_keys, dtype=np.int64)))
     # a stable argsort, whose kernel the lattice sweeps already use: np.sort
     # would map one more of numpy's sort kernels into memory
     keys = keys[np.argsort(keys, kind="stable")]
     used, rows = np.divmod(keys[_run_starts(keys)], n)
-    return best[table.base[1:] - 1], used, rows
+    return scores, used, rows
+
+
+def memoise_segmentations(words: Iterable[str], vocab: SubwordVocab) -> None:
+    """Fill the vocabulary's segmentation memo for the distinct `words` it
+    lacks, as one batch: the table over the words it covers, then the max
+    pass and trace-back pruning runs. A tied word runs the scalar Viterbi;
+    an uncovered word stays out, so segmenting it raises as before."""
+    memo = vocab._segmentations
+    table = LatticeTable.covering(
+        tuple(w for w in dict.fromkeys(words) if w not in memo), vocab)
+    scores, tied, rows, spans = _trace_best(table, vocab)
+    ids = table.piece_id[spans]
+    pieces = list(map(vocab.pieces.__getitem__, ids.tolist()))
+    tokens = (ids + NUM_CONTROLS).tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=len(table.words))).tolist()
+    lo = 0
+    for word, hi, score, is_tied in zip(table.words, ends, scores.tolist(), tied.tolist()):
+        memo[word] = (_viterbi_word(word, vocab) if is_tied else
+                      (tuple(pieces[lo:hi]), score, tuple(tokens[lo:hi])))
+        lo = hi
 
 
 def _kept_pieces(corpus: Corpus, vocab: SubwordVocab, keep: int) -> np.ndarray:

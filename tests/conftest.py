@@ -10,7 +10,8 @@ argmax chain, and rows_of adapts it to the RowsFn the one beam search
 asks for.
 
 So do the unigram references: the exhaustive lattice (reference_lattice),
-which build_lattice must equal, and scalar walks over one such lattice per
+which build_lattice and each word's rows of a LatticeTable must equal, and
+scalar walks over one such lattice per
 word, the forward-backward (reference_em_step), the per-word Viterbi
 (reference_viterbi, reference_encode) and the per-piece Viterbi loss scan
 (reference_prune_vocab), which em_step, encode and prune_vocab must equal

@@ -168,6 +168,13 @@ class TestWordVocab:
         assert oov_rate(["a zebu cat quagga"], vocab) == pytest.approx(0.5)
         assert oov_rate([], vocab) == 0.0
 
+    def test_words_spelled_as_specials_are_oov(self):
+        # the specials are never learned words, whatever the training counts
+        vocab = train_word_vocab(Corpus.from_texts(["a <unk> cat"] * 5), 5)
+        assert oov_rate(["<pad> <bos>"], vocab) == 1.0
+        assert word_tokenize("a <eos> <unk> cat", vocab) == ["a", UNK, UNK, "cat"]
+        assert oov_rate(["a <unk> cat"], vocab) == pytest.approx(1 / 3)
+
     def test_caption_words_spelled_as_specials_are_counted_once(self):
         corpus = Corpus.from_texts(["a <unk> cat <BOS>"] * 5)
         vocab = train_word_vocab(corpus, min_freq=5)

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from subicap.baselines import load_word_vocab
 from subicap.cli import build_parser, main
 from subicap.corpus import bundled_corpus_path
+from subicap.errors import OutOfInventoryError
 from subicap.model import transformer
 from subicap.model.decoding import caption_regions
 from subicap.model.synthetic import synthetic_regions
@@ -171,6 +172,30 @@ class TestEncodeDecode:
         monkeypatch.setattr("sys.stdin", io.StringIO(encoded))
         assert main(["decode"]) == 0
         assert capsys.readouterr().out == "a cat is above a dog\n"
+
+    def test_batch_keeps_output_and_errors(self, vocab_file, tmp_path, capsys):
+        """encode memoises the input's distinct words in one batch first:
+        the output is each line's reference encoding, byte for byte, and an
+        uncovered character on line k still gives encode(line k)'s error,
+        though a later line holds another."""
+        lines = ["A Cat  is above\ta dog", "", "a dog is left of a cat", "cats dogs"]
+        src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["encode", "--vocab", str(vocab_file), "--input", str(src), "--output", str(out)]
+        assert main(argv) == 0
+        vocab = load_vocab(vocab_file)
+        want = [" ".join(conftest.reference_encode(line, vocab).pieces) if line.strip() else ""
+                for line in lines]
+        assert out.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
+        out.unlink()
+        bad = lines[:2] + ["a cat is above a d\u2603g", "a \u2603 dog", "a dog"]
+        src.write_text("\n".join(bad) + "\n", encoding="utf-8")
+        with pytest.raises(OutOfInventoryError) as err:
+            conftest.reference_encode(bad[2], vocab)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"subicap: error: {err.value}\n"
+        assert not out.exists()
 
     def test_missing_vocab_flag(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("a cat\n"))

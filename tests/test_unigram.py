@@ -48,6 +48,7 @@ from subicap.unigram import (
     is_continuation,
     load_vocab,
     mark_continuations,
+    memoise_segmentations,
     piece_content,
     prune_vocab,
     save_vocab,
@@ -174,24 +175,44 @@ class TestSubwordVocab:
             SubwordVocab([("a", float("-inf"))])
 
 
+# characters the lattice pass must read as single code points: U+0000, a
+# non-BMP character (two UTF-16 units) and a lone surrogate
+RARE_CHARS = "\x00\U0001F600\ud800"
+
+
 @st.composite
-def lattice_case(draw):
-    """A word over "ab_c" and a vocabulary over "ab_": random pieces in
-    either marker form or both (twins), the singles of "a", "b" and "_"
-    (the literal "_" piece and its continuation "__") less at most one,
-    words that open with "_", and "c", which no piece covers."""
-    forms = draw(st.lists(st.text(alphabet="aab_", min_size=2, max_size=4).flatmap(
+def lattice_case(draw, max_words=1):
+    """Words over "ab_c" and RARE_CHARS, and a vocabulary over all but "c":
+    random pieces in either marker form or both (twins), the singles of
+    "a", "b", "_" (the literal "_" piece and its continuation "__") and the
+    rare characters less at most one, words that open with "_", and "c",
+    which no piece covers."""
+    forms = draw(st.lists(st.text(alphabet="aab_" + RARE_CHARS, min_size=2,
+                                  max_size=4).flatmap(
         lambda c: st.sampled_from([(c,), (CONTINUATION + c,), (c, CONTINUATION + c)])),
         max_size=20))
-    singles = {"_", "__", "a", "_a", "b", "_b"}
+    singles = {form + ch for ch in "_ab" + RARE_CHARS for form in ("", CONTINUATION)}
     singles -= draw(st.sets(st.sampled_from(sorted(singles)), max_size=1))
     pieces = {p for form in forms for p in form} | singles
     # words made of piece contents, so that multi-character pieces match
     chunks = st.sampled_from(sorted({piece_content(p) for p in pieces}) + ["c"])
-    opening = draw(st.sampled_from(["", "", CONTINUATION]))
-    word = opening + "".join(draw(st.lists(chunks, min_size=0 if opening else 1,
-                                           max_size=4)))
-    return word, _uniform_vocab(sorted(pieces))
+    words = []
+    for _ in range(draw(st.integers(1, max_words))):
+        opening = draw(st.sampled_from(["", "", CONTINUATION]))
+        words.append(opening + "".join(draw(st.lists(chunks, min_size=0 if opening else 1,
+                                                      max_size=4))))
+    return tuple(words), _uniform_vocab(sorted(pieces))
+
+
+def assert_table_equals(table, words, lattices):
+    """The table's words and columns are the lattices', concatenated."""
+    assert table.words == tuple(words)
+    assert table.word.tolist() == [row for row, lat in enumerate(lattices)
+                                   for _ in lat.starts]
+    for column, field in (("start", "starts"), ("end", "ends"), ("piece_id", "piece_ids")):
+        assert getattr(table, column).dtype == np.intc
+        assert getattr(table, column).tolist() == [x for lat in lattices
+                                                   for x in getattr(lat, field)], column
 
 
 class TestLattice:
@@ -233,7 +254,7 @@ class TestLattice:
     @given(case=lattice_case())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_equals_the_exhaustive_lattice(self, case):
-        word, vocab = case
+        (word,), vocab = case
         try:
             want = reference_lattice(word, vocab)
         except OutOfInventoryError as err:
@@ -245,6 +266,32 @@ class TestLattice:
         assert got.sentence == word
         for name in ("starts", "ends", "piece_ids"):
             assert getattr(got, name) == getattr(want, name), name
+
+    @given(case=lattice_case(max_words=4), base=st.sampled_from([None, 0, 1]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_table_equals_the_exhaustive_lattices(self, case, base):
+        """LatticeTable.build's array pass gives the concatenated exhaustive
+        lattices, or the first uncovered word's error; covering keeps the
+        covered words. A hash base of 0 or 1 makes keys collide, which the
+        confirmation by code point must sort out."""
+        words, vocab = case
+        covered, lattices, error = [], [], None
+        for word in words:
+            try:
+                lattices.append(reference_lattice(word, vocab))
+                covered.append(word)
+            except OutOfInventoryError as err:
+                error = error or err
+        with pytest.MonkeyPatch.context() as mp:
+            if base is not None:
+                mp.setattr(unigram, "_HASH_BASE", np.uint64(base))
+            assert_table_equals(LatticeTable.covering(words, vocab), covered, lattices)
+            if error is None:
+                assert_table_equals(LatticeTable.build(words, vocab), words, lattices)
+                return
+            with pytest.raises(OutOfInventoryError) as got:
+                LatticeTable.build(words, vocab)
+            assert (got.value.char, got.value.position) == (error.char, error.position)
 
 
 class TestViterbi:
@@ -350,6 +397,26 @@ def encode_case(draw):
     return text, vocab
 
 
+@st.composite
+def memo_case(draw):
+    """Words over "ab", maybe with "axb", which no piece covers, and a
+    vocabulary holding both marker forms of "a" and "b" and random pieces
+    of two or three characters; scores drawn from two values or at random,
+    or all equal, which forces ties between paths of as many pieces."""
+    content = st.text(alphabet="ab", min_size=2, max_size=3)
+    pieces = {"a", "_a", "b", "_b"} | set(draw(st.lists(
+        content | content.map(CONTINUATION.__add__), max_size=10)))
+    scores = draw(st.lists(st.sampled_from([-1.0, -2.0]) | st.floats(-9.0, -0.01),
+                           min_size=len(pieces), max_size=len(pieces)))
+    if draw(st.booleans()):
+        scores = [-1.0] * len(pieces)
+    words = draw(st.lists(st.text(alphabet="ab", min_size=2, max_size=7),
+                          min_size=1, max_size=8))
+    if draw(st.booleans()):
+        words.insert(draw(st.integers(0, len(words))), "axb")
+    return words, SubwordVocab(list(zip(sorted(pieces), scores)))
+
+
 class TestSegmentationMemo:
     @pytest.fixture
     def viterbi_calls(self, monkeypatch):
@@ -412,6 +479,34 @@ class TestSegmentationMemo:
     def test_encode_equals_the_scalar_walk(self, case):
         text, vocab = case
         self.assert_same_outcome(encode, reference_encode, text, vocab)
+
+    @given(case=memo_case())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_batch_equals_the_scalar_viterbi(self, case):
+        """memoise_segmentations stores _viterbi_word's triple, to the bit,
+        for every covered word and no uncovered one, and runs the scalar
+        Viterbi only on tied words."""
+        words, vocab = case
+        scalar, calls = unigram._viterbi_word, []
+
+        def counted(word, vocab):
+            calls.append(word)
+            return scalar(word, vocab)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(unigram, "_viterbi_word", counted)
+            memoise_segmentations(words, vocab)
+        memo = vocab._segmentations
+        for word in dict.fromkeys(words):
+            try:
+                pieces, score, ids = scalar(word, vocab)
+            except OutOfInventoryError:
+                assert word not in memo
+                continue
+            got = memo[word]
+            assert (got[0], got[1].hex(), got[2]) == (pieces, score.hex(), ids)
+        assert set(memo) <= set(words)
+        assert all(_has_tied_position(word, vocab) for word in calls)
 
     @given(case=encode_case())
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -779,11 +874,23 @@ class TestLatticeTable:
         monkeypatch.setattr(unigram, "build_lattice", logging_build)
         return words
 
-    def test_train_unigram_builds_each_word_once(self, built):
+    def test_train_unigram_builds_one_table(self, built, monkeypatch):
+        """One array pass over the distinct words builds the seed's table,
+        which every later piece set filters; build_lattice runs only for
+        the scalar Viterbi of tied words."""
+        passes = []
+        real = unigram._match
+
+        def logging_match(words, vocab):
+            passes.append(words)
+            return real(words, vocab)
+
+        monkeypatch.setattr(unigram, "_match", logging_match)
         corpus = load_corpus(bundled_corpus_path())
         train_unigram(corpus, TrainerConfig(target_vocab_size=300))
-        assert len(corpus.word_counts) == len(built) == 289
-        assert set(built) == set(corpus.word_counts)
+        assert passes == [tuple(corpus.word_counts)]
+        assert len(corpus.word_counts) == 289
+        assert set(built) < set(corpus.word_counts)
 
     def test_encode_builds_a_repeated_word_once(self, built):
         vocab = _uniform_vocab(["a", "_a", "c", "_c", "t", "_t", "at", "_at"])
