@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Corpus, normalize_text
-from .errors import OutOfInventoryError
 from .model.transformer import ModelConfig, num_params, param_shapes
-from .unigram import (SubwordVocab, TrainerConfig, memoise_segmentations, train_unigram,
-                      viterbi_segment)
+from .unigram import SubwordVocab, TrainerConfig, memoise_segmentations, train_unigram
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +44,7 @@ def measure_tokenizer(corpus: Corpus, vocab: SubwordVocab,
     """Token statistics of one vocabulary over one corpus. Words the
     vocabulary cannot cover count toward oov_word_rate and their captions
     are measured over the words that do segment."""
-    memoise_segmentations(corpus.word_counts, vocab)
+    memo = memoise_segmentations(corpus.word_counts, vocab)
     total_tokens = 0
     max_tokens = 0
     used: set[str] = set()
@@ -56,13 +54,12 @@ def measure_tokenizer(corpus: Corpus, vocab: SubwordVocab,
         caption_tokens = 0
         for word in text.split():
             total_words += 1
-            try:
-                seq = viterbi_segment(word, vocab)
-            except OutOfInventoryError:
+            seg = memo.get(word)
+            if seg is None:  # the batch leaves uncovered words out
                 oov_words += 1
                 continue
-            caption_tokens += len(seq.pieces)
-            used.update(seq.pieces)
+            caption_tokens += len(seg[0])
+            used.update(seg[0])
         total_tokens += caption_tokens
         max_tokens = max(max_tokens, caption_tokens)
     n = len(corpus.captions)

@@ -1,14 +1,18 @@
 """Command-line interface.
 
 Subcommands: train-tokenizer, encode, decode, sweep, report, params,
-train-lm, generate. encode/decode stream stdin to stdout; every filesystem
-output gets a sibling <out>.manifest.json recording the resolved arguments
-and seed. Outputs are byte-identical across runs for identical seeds and
-configs; only manifest timestamp/duration fields may differ.
+train-lm, generate. Each cmd_* returns the files it wrote and its metrics;
+main times the run and, if it wrote any, writes <first file>.manifest.json
+recording the resolved arguments, input files, outputs and seed. encode and
+decode are stream filters (stdin or --input to stdout or --output) and
+return none, so they write no manifest. Outputs are byte-identical across
+runs for identical seeds and configs; only manifest timestamp/duration
+fields may differ.
 
 One table, COMMANDS, declares every subcommand: its help, its cmd_*
-function and its options, each an Option(name, kind, default), maybe
-repeatable, with flag --name ('-' for '_'). A kind is int, COUNT (an
+function, its options, each an Option(name, kind, default), maybe
+repeatable, with flag --name ('-' for '_'), and the options that name the
+input files its manifest records. A kind is int, COUNT (an
 integer >= 1), NATURAL (an integer >= 0), POSITIVE (a finite number > 0),
 str or a tuple of choices; a default may be REQUIRED.
 The parser, the --config JSON file, the defaults and the checks all come
@@ -22,7 +26,6 @@ selects stderr log verbosity. Errors print one machine-parsable line,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -51,39 +54,6 @@ class _Parser(argparse.ArgumentParser):
     # single-line errors instead of argparse's usage dump
     def error(self, message):
         raise CliUsageError(message)
-
-
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    subcommand: str
-    arguments: dict
-    inputs: dict
-    outputs: list[str]
-    seed: int | None
-    tool_version: str
-    timestamp_utc: str
-    duration_s: float
-    metrics: dict  # deterministic counts of what the run did
-
-
-def _write_manifest(primary_out: Path, subcommand: str, arguments: dict,
-                    inputs: dict, outputs: list[str], started: float,
-                    metrics: dict | None = None) -> None:
-    manifest = RunManifest(
-        subcommand=subcommand,
-        arguments=arguments,
-        inputs=inputs,
-        outputs=outputs,
-        seed=arguments.get("seed"),
-        tool_version=__version__,
-        timestamp_utc=datetime.now(timezone.utc).isoformat(),
-        duration_s=round(time.time() - started, 6),
-        metrics=metrics or {},
-    )
-    Path(str(primary_out) + ".manifest.json").write_text(
-        json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8", newline="\n",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +142,12 @@ def _require(resolved: dict, key: str) -> None:
 # ---------------------------------------------------------------------------
 # tokenizer commands
 
+# what a command returns to main: the files it wrote, the first naming the
+# manifest (none for a stream filter), and the manifest's metrics
+Written = tuple[list[str], dict]
 
-def cmd_train_tokenizer(r: dict) -> int:
-    started = time.time()
+
+def cmd_train_tokenizer(r: dict) -> Written:
     out = Path(r["out"])
     algo = r["algo"]
     if algo != "word":
@@ -193,9 +166,7 @@ def cmd_train_tokenizer(r: dict) -> int:
         vocab = baselines.train_word_vocab(c, min_freq=r["min_freq"])
         baselines.save_word_vocab(vocab, out)
         log.info("trained word vocabulary: %d words -> %s", vocab.size, out)
-    _write_manifest(out, "train-tokenizer", r, {"corpus": r["corpus"]},
-                    [str(out)], started)
-    return 0
+    return [str(out)], {}
 
 
 def _read_lines(path: str | None):
@@ -213,13 +184,13 @@ def _write_lines(lines: list[str], path: str | None) -> None:
             print(line)
 
 
-def _map_lines(lines: list[str], output: str | None, convert) -> int:
+def _map_lines(lines: list[str], output: str | None, convert) -> Written:
     """The converted lines to `output` (or stdout); blank lines pass through."""
     _write_lines([convert(line) if line.strip() else "" for line in lines], output)
-    return 0
+    return [], {}
 
 
-def cmd_encode(r: dict) -> int:
+def cmd_encode(r: dict) -> Written:
     vocab = unigram.load_vocab(r["vocab"])
     lines = _read_lines(r["input"])
     # one batch for every distinct word, whose memo each line's encode reads;
@@ -230,7 +201,7 @@ def cmd_encode(r: dict) -> int:
                       lambda line: " ".join(unigram.encode(line, vocab).pieces))
 
 
-def cmd_decode(r: dict) -> int:
+def cmd_decode(r: dict) -> Written:
     return _map_lines(_read_lines(r["input"]), r["output"],
                       lambda line: unigram.detokenize(line.split(" ")))
 
@@ -248,33 +219,25 @@ def _write_report(out: Path, data: dict, text: str) -> list[str]:
     return [str(out), str(text_out)]
 
 
-def cmd_sweep(r: dict) -> int:
-    started = time.time()
+def cmd_sweep(r: dict) -> Written:
     out = Path(r["out"])
     c = corpus_mod.load_corpus(r["corpus"], max_words=r["max_words"])
     report = analysis.vocab_sweep(c, r["vocab_size"])
     outputs = _write_report(out, analysis.sweep_to_dict(report),
                             analysis.sweep_to_text(report))
     log.info("sweep over sizes %s -> %s", r["vocab_size"], out)
-    _write_manifest(out, "sweep", r, {"corpus": r["corpus"]}, outputs, started)
-    return 0
+    return outputs, {}
 
 
-def cmd_report(r: dict) -> int:
-    started = time.time()
-    out = Path(r["out"])
+def cmd_report(r: dict) -> Written:
     training_corpus = corpus_mod.load_corpus(r["corpus"], max_words=r["max_words"])
     generated = [
         line for line in Path(r["generated"]).read_text(encoding="utf-8").splitlines()
         if line.strip()
     ]
     report = analysis.uniqueness_report(generated, training_corpus)
-    outputs = _write_report(out, analysis.uniqueness_to_dict(report),
-                            analysis.uniqueness_to_text(report))
-    _write_manifest(out, "report", r,
-                    {"corpus": r["corpus"], "generated": r["generated"]},
-                    outputs, started)
-    return 0
+    return _write_report(Path(r["out"]), analysis.uniqueness_to_dict(report),
+                         analysis.uniqueness_to_text(report)), {}
 
 
 def _model_config_fields(r: dict) -> dict:
@@ -284,16 +247,15 @@ def _model_config_fields(r: dict) -> dict:
                 d_in=r["d_in"], geo_embed_dim=r["geo_dim"])
 
 
-def cmd_params(r: dict) -> int:
-    started = time.time()
+def cmd_params(r: dict) -> Written:
     counts = [analysis.param_count(v, **_model_config_fields(r)) for v in r["vocab"]]
     sys.stdout.write(analysis.params_to_text(counts))
-    if r["out"]:
-        out = Path(r["out"])
-        out.write_text(analysis.report_json(analysis.params_to_dict(counts)),
-                       encoding="utf-8", newline="\n")
-        _write_manifest(out, "params", r, {}, [str(out)], started)
-    return 0
+    if not r["out"]:
+        return [], {}
+    out = Path(r["out"])
+    out.write_text(analysis.report_json(analysis.params_to_dict(counts)),
+                   encoding="utf-8", newline="\n")
+    return [str(out)], {}
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +273,7 @@ def _scenes_to_batch(scenes, vocab, max_seq_len: int):
     return batch
 
 
-def cmd_train_lm(r: dict) -> int:
-    started = time.time()
+def cmd_train_lm(r: dict) -> Written:
     vocab = unigram.load_vocab(r["tokenizer"])
     out = Path(r["out"])
     scenes = synthetic.synthetic_regions(r["seed"], r["images"], d_in=r["d_in"])
@@ -328,13 +289,10 @@ def cmd_train_lm(r: dict) -> int:
         history = training.fit(batch, params, cfg, tcfg, steps=r["steps"])
     transformer.save_checkpoint(out, params, cfg)
     log.info("final loss %.6f after %d steps -> %s", history[-1], r["steps"], out)
-    _write_manifest(out, "train-lm", r, {"tokenizer": r["tokenizer"]},
-                    [str(out)], started)
-    return 0
+    return [str(out)], {}
 
 
-def cmd_generate(r: dict) -> int:
-    started = time.time()
+def cmd_generate(r: dict) -> Written:
     vocab = unigram.load_vocab(r["tokenizer"])
     out = Path(r["out"])
     params, cfg = transformer.load_checkpoint(r["checkpoint"])
@@ -360,13 +318,9 @@ def cmd_generate(r: dict) -> int:
     _write_lines(lines, str(out))
     log.info("generated %d captions (beam=%d) -> %s", len(lines), r["beam"], out)
     n_finished = sum(hyp.finished for hyp in hyps)
-    metrics = {"captions_finished": n_finished,
-               "captions_cut_off": len(hyps) - n_finished,  # at --max-len
-               "generated_tokens": sum(hyp.n_generated for hyp in hyps)}
-    _write_manifest(out, "generate", r,
-                    {"checkpoint": r["checkpoint"], "tokenizer": r["tokenizer"]},
-                    [str(out)], started, metrics)
-    return 0
+    return [str(out)], {"captions_finished": n_finished,
+                        "captions_cut_off": len(hyps) - n_finished,  # at --max-len
+                        "generated_tokens": sum(hyp.n_generated for hyp in hyps)}
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +329,9 @@ def cmd_generate(r: dict) -> int:
 
 class Command(NamedTuple):
     help: str
-    run: Callable[[dict], int]  # takes the resolved options
+    run: Callable[[dict], Written]  # takes the resolved options
     options: tuple[Option, ...]
+    inputs: tuple[str, ...] = ()  # the options whose files the manifest records
 
 
 def _model_dims(*defaults) -> list[Option]:
@@ -393,7 +348,7 @@ COMMANDS: dict[str, Command] = {
         # --vocab-size is required by --algo unigram, --merges by bpe
         Option("vocab_size", COUNT), Option("merges", NATURAL),
         Option("min_freq", COUNT, 5), _MAX_WORDS, Option("out", str, REQUIRED),
-    )),
+    ), inputs=("corpus",)),
     "encode": Command("captions on stdin to pieces on stdout", cmd_encode, (
         Option("vocab", str, REQUIRED), Option("input", str), Option("output", str),
     )),
@@ -404,11 +359,11 @@ COMMANDS: dict[str, Command] = {
         Option("corpus", str, REQUIRED),
         Option("vocab_size", COUNT, REQUIRED, repeat=True),
         _MAX_WORDS, Option("out", str, REQUIRED),
-    )),
+    ), inputs=("corpus",)),
     "report": Command("uniqueness of generated captions", cmd_report, (
         Option("corpus", str, REQUIRED), Option("generated", str, REQUIRED),
         _MAX_WORDS, Option("out", str, REQUIRED),
-    )),
+    ), inputs=("corpus", "generated")),
     "params": Command("parameter-count arithmetic", cmd_params, (
         Option("vocab", COUNT, REQUIRED, repeat=True),
         *_model_dims(512, 6, 8, 2048, 2048, 64),
@@ -420,13 +375,13 @@ COMMANDS: dict[str, Command] = {
         *_model_dims(32, 2, 2, 64, 16, 8),
         Option("max_len", COUNT, 32), Option("lr", POSITIVE, 5e-4),
         Option("decay_every", NATURAL, 500), Option("decay_factor", POSITIVE, 0.8),
-    )),
+    ), inputs=("tokenizer",)),
     "generate": Command("decode captions from a checkpoint", cmd_generate, (
         Option("checkpoint", str, REQUIRED), Option("tokenizer", str, REQUIRED),
         Option("out", str, REQUIRED), Option("seed", NATURAL, 0),
         Option("images", COUNT, 10), Option("beam", COUNT, 2),
         Option("max_len", int),  # default: the checkpoint's limit
-    )),
+    ), inputs=("checkpoint", "tokenizer")),
 }
 
 
@@ -459,13 +414,32 @@ def _setup_logging() -> None:
     )
 
 
+def _write_manifest(subcommand: str, r: dict, outputs: list[str], metrics: dict,
+                    started: float) -> None:
+    """<first output>.manifest.json: the run's options, the files it read
+    and wrote, and `metrics`, deterministic counts of what it did."""
+    manifest = dict(
+        subcommand=subcommand, arguments=r, outputs=outputs, seed=r.get("seed"),
+        inputs={name: r[name] for name in COMMANDS[subcommand].inputs},
+        tool_version=__version__, metrics=metrics,
+        timestamp_utc=datetime.now(timezone.utc).isoformat(),
+        duration_s=round(time.time() - started, 6))
+    Path(outputs[0] + ".manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         _setup_logging()
         args = build_parser().parse_args(argv)
         if args.subcommand is None:
             raise CliUsageError("a subcommand is required; see --help")
-        return COMMANDS[args.subcommand].run(_resolve(args))
+        r = _resolve(args)
+        started = time.time()
+        outputs, metrics = COMMANDS[args.subcommand].run(r)
+        if outputs:
+            _write_manifest(args.subcommand, r, outputs, metrics, started)
+        return 0
     except (SubicapError, OSError, ValueError) as err:
         # ValueError covers contract violations raised by library calls
         # (bad vocab targets, empty sweep grids) — still one line, exit 2

@@ -153,10 +153,11 @@ def beam_rows_decode(rows_fn: RowsFn, beam: int, max_len: int) -> Hypothesis:
     return min(finished, key=lambda h: (-h.norm_score, len(h.token_ids), h.token_ids))
 
 
-def beam_search(
-    q: np.ndarray, params, cfg: ModelConfig, beam: int, max_len: int
-) -> Hypothesis:
-    return beam_rows_decode(model_rows_fn(q, params, cfg), beam, max_len)
+def beam_search(q: np.ndarray, params, cfg: ModelConfig, beam: int, max_len: int,
+                first_banned: np.ndarray | None = None) -> Hypothesis:
+    """The caption of one image's encoded regions q; see model_rows_fn for
+    first_banned."""
+    return beam_rows_decode(model_rows_fn(q, params, cfg, first_banned), beam, max_len)
 
 
 def caption_regions(
@@ -167,8 +168,7 @@ def caption_regions(
     max_len: int | None = None,
     first_banned: np.ndarray | None = None,
 ) -> Hypothesis:
-    """Encode one image's regions and decode a caption hypothesis; see
-    model_rows_fn for first_banned."""
+    """Encode one image's regions and decode a caption hypothesis."""
     max_len = max_len if max_len is not None else cfg.max_seq_len
-    q = encoder_forward(regions, params, cfg)
-    return beam_rows_decode(model_rows_fn(q, params, cfg, first_banned), beam, max_len)
+    return beam_search(encoder_forward(regions, params, cfg), params, cfg, beam,
+                       max_len, first_banned)

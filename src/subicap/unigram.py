@@ -721,11 +721,12 @@ def _best_paths(table: LatticeTable, vocab: SubwordVocab
     return scores, used, rows
 
 
-def memoise_segmentations(words: Iterable[str], vocab: SubwordVocab) -> None:
+def memoise_segmentations(words: Iterable[str], vocab: SubwordVocab) -> dict:
     """Fill the vocabulary's segmentation memo for the distinct `words` it
     lacks, as one batch: the table over the words it covers, then the max
     pass and trace-back pruning runs. A tied word runs the scalar Viterbi;
-    an uncovered word stays out, so segmenting it raises as before."""
+    an uncovered word stays out, so segmenting it raises as before.
+    Returns the memo: word -> (pieces, score, token ids)."""
     memo = vocab._segmentations
     table = LatticeTable.covering(
         tuple(w for w in dict.fromkeys(words) if w not in memo), vocab)
@@ -739,6 +740,7 @@ def memoise_segmentations(words: Iterable[str], vocab: SubwordVocab) -> None:
         memo[word] = (_viterbi_word(word, vocab) if is_tied else
                       (tuple(pieces[lo:hi]), score, tuple(tokens[lo:hi])))
         lo = hi
+    return memo
 
 
 def _kept_pieces(corpus: Corpus, vocab: SubwordVocab, keep: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from subicap.analysis import (
     uniqueness_to_text,
     vocab_sweep,
 )
+from subicap import unigram
 from subicap.corpus import Corpus
 from subicap.model.transformer import ModelConfig, num_params
 from subicap.unigram import SubwordVocab
@@ -67,6 +68,19 @@ class TestMeasureTokenizer:
         assert entry.oov_word_rate == 0.0
         assert entry.mean_tokens_per_caption == pytest.approx(3.0)
         assert entry.distinct_pieces_used == 4
+
+    def test_reads_the_batch_memo_without_lattices(self, monkeypatch):
+        """The batch's memo holds every covered word, so an uncovered word,
+        however often it repeats, counts as OOV with no build_lattice call."""
+        calls, build = [], unigram.build_lattice
+        monkeypatch.setattr(unigram, "build_lattice",
+                            lambda word, vocab: calls.append(word) or build(word, vocab))
+        corpus = Corpus.from_texts(["ab cd cd", "cd ab", "cd"])
+        vocab = _vocab({"a": -2.0, "b": -2.0, "_b": -2.0, "ab": -1.0})
+        entry = measure_tokenizer(corpus, vocab, requested_size=4)
+        assert calls == []
+        assert entry.oov_word_rate == pytest.approx(4 / 6)
+        assert entry.mean_tokens_per_caption == pytest.approx(2 / 3)
 
     def test_empty_corpus_is_all_zero(self):
         entry = measure_tokenizer(Corpus([]), _vocab({"a": -1.0}), 1)

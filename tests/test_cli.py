@@ -1,8 +1,9 @@
 """End-to-end command-line behavior through main(argv).
 
 Every error path must exit 2 with a single "subicap: error:" line, every
-filesystem output must carry a manifest sibling, and repeated runs must be
-byte-identical up to manifest timestamps.
+command that writes files but the encode/decode stream filters must leave a
+manifest beside its first output, and repeated runs must be byte-identical
+up to manifest timestamps.
 """
 
 import contextlib
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subicap.baselines import load_word_vocab
-from subicap.cli import build_parser, main
+from subicap.cli import COMMANDS, build_parser, main
 from subicap.corpus import bundled_corpus_path
 from subicap.errors import OutOfInventoryError
 from subicap.model import transformer
@@ -367,6 +368,72 @@ def checkpoint(tmp_path_factory, vocab_file):
                "--d-model", "16", "--d-ff", "32", "--max-len", "24"])
     assert rc == 0
     return out
+
+
+# the arguments, but the subcommand, of each command that writes files: its
+# inputs from `files`, its outputs into `out`
+_WRITERS = {
+    "train-tokenizer": lambda files, out: [
+        "--corpus", files["corpus"], "--vocab-size", "60", "--out", out / "v.tsv"],
+    "sweep": lambda files, out: [
+        "--corpus", files["corpus"], "--vocab-size", "60", "--vocab-size", "45",
+        "--out", out / "sweep.json"],
+    "report": lambda files, out: [
+        "--corpus", files["corpus"], "--generated", files["generated"],
+        "--out", out / "report.json"],
+    "params": lambda files, out: ["--vocab", "100", "--out", out / "p.json"],
+    "train-lm": lambda files, out: [
+        "--tokenizer", files["vocab"], "--out", out / "m.ckpt", "--steps", "2",
+        "--images", "2", "--d-model", "16", "--d-ff", "32", "--max-len", "24"],
+    "generate": lambda files, out: [
+        "--checkpoint", files["checkpoint"], "--tokenizer", files["vocab"],
+        "--out", out / "gen.txt", "--images", "2", "--max-len", "6"],
+}
+
+
+class TestManifests:
+    """main writes each file-writing command's one manifest."""
+
+    @pytest.fixture
+    def files(self, corpus_file, vocab_file, checkpoint, tmp_path):
+        generated = tmp_path / "generated.txt"
+        generated.write_text("a cat is above a dog\na zzz is below a cat\n")
+        return dict(corpus=corpus_file, vocab=vocab_file, checkpoint=checkpoint,
+                    generated=generated)
+
+    def test_every_command_but_the_stream_filters_writes_files(self):
+        assert set(_WRITERS) == set(COMMANDS) - {"encode", "decode"}
+
+    @pytest.mark.parametrize("name", sorted(_WRITERS))
+    def test_one_manifest_records_the_run(self, name, files, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([name] + [str(a) for a in _WRITERS[name](files, out)]) == 0
+        capsys.readouterr()
+        written = sorted(str(p) for p in out.iterdir())
+        manifests = [p for p in written if p.endswith(".manifest.json")]
+        assert len(manifests) == 1
+        m = json.loads(Path(manifests[0]).read_text())
+        assert manifests[0] == m["outputs"][0] + ".manifest.json"
+        assert sorted(m["outputs"] + manifests) == written
+        assert m["subcommand"] == name
+        # the declared inputs are exactly the options naming a file it read
+        read = {k for k, v in m["arguments"].items()
+                if isinstance(v, str) and Path(v).parent != out and Path(v).is_file()}
+        assert set(m["inputs"]) == set(COMMANDS[name].inputs) == read
+        assert all(m["inputs"][k] == m["arguments"][k] for k in read)
+
+    def test_stream_filters_and_printed_params_write_none(self, vocab_file, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("caps.txt").write_text("a cat is above a dog\n")
+        assert main(["encode", "--vocab", str(vocab_file), "--input", "caps.txt",
+                     "--output", "enc.txt"]) == 0
+        assert main(["decode", "--input", "enc.txt", "--output", "dec.txt"]) == 0
+        assert main(["params", "--vocab", "100"]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["caps.txt", "dec.txt",
+                                                               "enc.txt"]
 
 
 class TestModelCommands:
