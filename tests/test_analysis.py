@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from subicap import unigram
 from subicap.analysis import (
     ParamCount,
     measure_tokenizer,
@@ -18,7 +19,6 @@ from subicap.analysis import (
     uniqueness_to_text,
     vocab_sweep,
 )
-from subicap import unigram
 from subicap.corpus import Corpus
 from subicap.model.transformer import ModelConfig, num_params
 from subicap.unigram import SubwordVocab

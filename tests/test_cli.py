@@ -370,8 +370,8 @@ def checkpoint(tmp_path_factory, vocab_file):
     return out
 
 
-# the arguments, but the subcommand, of each command that writes files: its
-# inputs from `files`, its outputs into `out`
+# each file-writing command's arguments after its name: its inputs from
+# `files`, its outputs into `out`
 _WRITERS = {
     "train-tokenizer": lambda files, out: [
         "--corpus", files["corpus"], "--vocab-size", "60", "--out", out / "v.tsv"],
